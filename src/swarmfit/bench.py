@@ -233,7 +233,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
             "n_particles": cfg.swarm.n_particles,
             "m_neighbors": cfg.swarm.m_neighbors,
             "n_iterations": cfg.swarm.n_iterations,
-            "scalar_r": cfg.swarm.scalar_r,
         },
         "k_bounds": list(cfg.k_bounds),
         "phi_max": cfg.phi_max,

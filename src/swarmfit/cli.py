@@ -2,7 +2,9 @@
 
 Every flag may also be supplied through ``--config <path.json>`` (keys are
 the flag names, hyphens or underscores); explicit flags override the file.
-Exits 0 on success and 1 with a diagnostic on validation failure.
+Tuning options left unset keep the library defaults of ``SwarmConfig`` and
+``ExperimentConfig``.  Exits 0 on success and 1 with a diagnostic on
+validation failure, including a config value of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -19,23 +21,9 @@ from .bench import (
     summary_to_dict,
     write_bench_outputs,
 )
-from .model import load_dataset, save_dataset
+from .model import DEFAULT_K_BOUNDS, load_dataset, save_dataset
 from .pso import SwarmConfig, Topology
 from .simulate import generate_dataset, get_setting
-
-_FIT_DEFAULTS = {
-    "w": 0.9,
-    "c1": 1.5,
-    "c2": 0.3,
-    "particles": 10,
-    "iters": 100,
-    "m": 5,
-    "restarts": 50,
-    "k_min": -20.0,
-    "k_max": 20.0,
-    "phi_max": 200,
-    "seed": 0,
-}
 
 _TUNING_FLAGS = [
     ("--w", float, "inertia weight"),
@@ -49,6 +37,19 @@ _TUNING_FLAGS = [
     ("--k-max", float, "upper bound on activation strength"),
     ("--phi-max", int, "upper bound on dispersion"),
 ]
+_TUNING_KEYS = {flag[2:].replace("-", "_") for flag, _, _ in _TUNING_FLAGS}
+
+# Option key -> type of its config-file value; "settings" is parsed by _parse_settings.
+_OPTION_TYPES = {
+    "setting": int, "seed": int, "data_seed": int,
+    "data": str, "out": str, "out_dir": str, "topology": str,
+    **{flag[2:].replace("-", "_"): ftype for flag, ftype, _ in _TUNING_FLAGS},
+}
+# Option key -> the SwarmConfig / ExperimentConfig field it sets.
+_SWARM_FIELDS = {"w": "w", "c1": "c1", "c2": "c2",
+                 "particles": "n_particles", "iters": "n_iterations", "m": "m_neighbors"}
+_EXPERIMENT_FIELDS = {"restarts": "restarts", "phi_max": "phi_max",
+                      "seed": "master_seed", "data_seed": "data_seed"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +86,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _coerce(source: str, key: str, value):
+    """Convert a config-file value to its option type, or raise ValueError naming the key."""
+    kind = _OPTION_TYPES.get(key)
+    if value is None or kind is None:
+        return value
+    try:
+        if kind is not str:
+            return kind(value)
+        if isinstance(value, str):
+            return value
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{source}: config key {key!r} must be {kind.__name__}, got {value!r}")
+
+
 def _merge_options(args: argparse.Namespace, known: set[str]) -> dict:
-    """Merge built-in defaults, config-file values, and explicit flags."""
+    """Merge config-file values and explicit flags (flags win)."""
     merged: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
@@ -96,7 +112,7 @@ def _merge_options(args: argparse.Namespace, known: set[str]) -> dict:
             norm = key.replace("-", "_")
             if norm not in known:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            merged[norm] = value
+            merged[norm] = _coerce(args.config, norm, value)
     for key in known:
         value = getattr(args, key, None)
         if value is not None:
@@ -111,37 +127,30 @@ def _require(options: dict, *keys: str) -> None:
         raise ValueError(f"missing required option(s): {flags}")
 
 
-def _experiment_config(options: dict, master_seed: int, data_seed: int = 0) -> ExperimentConfig:
-    opts = dict(_FIT_DEFAULTS)
-    opts.update({k: v for k, v in options.items() if v is not None})
-    swarm = SwarmConfig(
-        w=float(opts["w"]),
-        c1=float(opts["c1"]),
-        c2=float(opts["c2"]),
-        n_particles=int(opts["particles"]),
-        m_neighbors=int(opts["m"]),
-        n_iterations=int(opts["iters"]),
-    )
-    return ExperimentConfig(
-        restarts=int(opts["restarts"]),
-        swarm=swarm,
-        k_bounds=(float(opts["k_min"]), float(opts["k_max"])),
-        phi_max=int(opts["phi_max"]),
-        master_seed=master_seed,
-        data_seed=data_seed,
-    )
+def _experiment_config(options: dict) -> ExperimentConfig:
+    """Config from the options that are set; the others keep the library defaults."""
+    given = {k: v for k, v in options.items() if v is not None}
+    swarm = SwarmConfig(**{f: given[k] for k, f in _SWARM_FIELDS.items() if k in given})
+    fields = {f: given[k] for k, f in _EXPERIMENT_FIELDS.items() if k in given}
+    if "k_min" in given or "k_max" in given:
+        k_min, k_max = DEFAULT_K_BOUNDS
+        fields["k_bounds"] = (given.get("k_min", k_min), given.get("k_max", k_max))
+    return ExperimentConfig(swarm=swarm, **fields)
 
 
 def _parse_settings(raw: str | list) -> list[int]:
-    if isinstance(raw, list):
-        ids = [int(s) for s in raw]
-    elif raw.strip().lower() == "all":
-        ids = [1, 2, 3, 4, 5, 6]
+    if isinstance(raw, str):
+        if raw.strip().lower() == "all":
+            return [1, 2, 3, 4, 5, 6]
+        parts = [part for part in raw.split(",") if part.strip()]
+    elif isinstance(raw, list):
+        parts = raw
     else:
-        try:
-            ids = [int(part) for part in raw.split(",") if part.strip()]
-        except ValueError:
-            raise ValueError(f"cannot parse settings list {raw!r}") from None
+        raise ValueError(f"settings must be a comma-separated string or a list, got {raw!r}")
+    try:
+        ids = [int(part) for part in parts]
+    except (TypeError, ValueError):
+        raise ValueError(f"cannot parse settings list {raw!r}") from None
     if not ids:
         raise ValueError("settings list is empty")
     unique = list(dict.fromkeys(ids))
@@ -153,18 +162,18 @@ def _parse_settings(raw: str | list) -> list[int]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     options = _merge_options(args, {"setting", "seed", "out"})
     _require(options, "setting", "seed", "out")
-    setting = get_setting(int(options["setting"]))
-    data = generate_dataset(setting, int(options["seed"]))
+    setting = get_setting(options["setting"])
+    data = generate_dataset(setting, options["seed"])
     save_dataset(data, options["out"])
     return 0
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    known = {"data", "topology", "seed", "out"} | set(_FIT_DEFAULTS)
+    known = {"data", "topology", "seed", "out"} | _TUNING_KEYS
     options = _merge_options(args, known)
     _require(options, "data", "topology", "out")
     data = load_dataset(options["data"])
-    cfg = _experiment_config(options, master_seed=int(options.get("seed", 0)))
+    cfg = _experiment_config(options)
     summary = run_restarts(data, cfg, Topology(options["topology"]))
     doc = {"config": config_to_dict(cfg), "summary": summary_to_dict(summary)}
     Path(options["out"]).write_text(json.dumps(doc, indent=2) + "\n")
@@ -172,15 +181,11 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    known = {"settings", "data_seed", "seed", "out_dir"} | set(_FIT_DEFAULTS)
+    known = {"settings", "data_seed", "seed", "out_dir"} | _TUNING_KEYS
     options = _merge_options(args, known)
     _require(options, "settings", "data_seed", "seed", "out_dir")
     settings = _parse_settings(options["settings"])
-    cfg = _experiment_config(
-        options,
-        master_seed=int(options["seed"]),
-        data_seed=int(options["data_seed"]),
-    )
+    cfg = _experiment_config(options)
     write_bench_outputs(options["out_dir"], cfg, settings)
     return 0
 

@@ -11,6 +11,11 @@ swarm) and the local-best topology (each particle is pulled toward the
 best record among its m nearest neighbors by Euclidean distance on the
 current positions).
 
+The swarm is held as arrays with one row per particle, and every stage of
+an iteration (random draws, reference selection, velocity and position
+updates, personal-best refresh) acts on the whole swarm at once; only the
+objective is called point by point.
+
 Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
 so every evaluated point is feasible.
@@ -69,16 +74,6 @@ class BoxDomain:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-@dataclass(eq=False)
-class Particle:
-    """One swarm member: current state plus its personal-best record."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    best_position: np.ndarray
-    best_value: float
-
-
 @dataclass
 class SwarmConfig:
     """Tuning parameters for one optimization run.
@@ -86,8 +81,8 @@ class SwarmConfig:
     ``w``, ``c1`` and ``c2`` are the inertia, cognitive and social
     coefficients; values outside [0, 2] are unusual and trigger a warning
     rather than an error.  ``m_neighbors`` is only consulted by the
-    local-best topology.  ``scalar_r`` switches the random coefficients
-    r1, r2 from one draw per dimension (default) to one draw per particle.
+    local-best topology.  The random coefficients r1, r2 are drawn once
+    per particle and dimension.
     """
 
     w: float = 0.9
@@ -98,7 +93,6 @@ class SwarmConfig:
     m_neighbors: int = 5
     n_iterations: int = 100
     seed: int = 0
-    scalar_r: bool = False
 
     def __post_init__(self):
         self.topology = Topology(self.topology)
@@ -137,6 +131,8 @@ class OptResult:
 class Swarm:
     """Full swarm state, stored as arrays with one row per particle.
 
+    Row i of ``positions``, ``velocities``, ``pbest_positions`` and
+    ``pbest_values`` is particle i.
     ``best_position``/``best_value`` hold the swarm-wide best record; the
     record is only replaced on strict improvement, scanning particles in
     index order.
@@ -152,18 +148,6 @@ class Swarm:
     @property
     def n_particles(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def particles(self) -> list[Particle]:
-        return [
-            Particle(
-                position=self.positions[i].copy(),
-                velocity=self.velocities[i].copy(),
-                best_position=self.pbest_positions[i].copy(),
-                best_value=float(self.pbest_values[i]),
-            )
-            for i in range(self.n_particles)
-        ]
 
 
 def _evaluate(objective: Objective, x: np.ndarray) -> float:
@@ -228,21 +212,25 @@ def select_global_best(swarm: Swarm):
     return swarm.pbest_positions[g].copy(), float(swarm.pbest_values[g])
 
 
-def select_neighborhood_best(swarm: Swarm, i: int, m: int):
-    """Best personal-best record among the m particles nearest to particle i.
+def select_neighborhood_best(swarm: Swarm, m: int):
+    """Best personal-best record among the m nearest particles, for every particle.
 
-    Neighbors are ranked by Euclidean distance between current positions
-    (particle i itself has distance 0 and is always included); distance
-    ties and value ties both break toward the lower particle index.
+    Returns ``(positions (n, d), values (n,))`` whose row i is the reference
+    record of particle i.  Neighbors are ranked by Euclidean distance
+    between current positions (particle i itself has distance 0 and is
+    always included); distance ties and value ties both break toward the
+    lower particle index.
     """
     n = swarm.n_particles
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    distances = np.linalg.norm(swarm.positions - swarm.positions[i], axis=1)
-    order = np.argsort(distances, kind="stable")
-    neighborhood = order[:m]
-    j = min(neighborhood, key=lambda k: (swarm.pbest_values[k], k))
-    return swarm.pbest_positions[j].copy(), float(swarm.pbest_values[j])
+    p = swarm.positions
+    distances = np.linalg.norm(p[None] - p[:, None], axis=2)
+    # ascending index order inside each neighborhood makes argmin's
+    # first-minimum rule break value ties toward the lower index
+    hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
+    best = hoods[np.arange(n), np.argmin(swarm.pbest_values[hoods], axis=1)]
+    return swarm.pbest_positions[best], swarm.pbest_values[best]
 
 
 def step(
@@ -259,19 +247,13 @@ def step(
     refreshed last.
     """
     n, d = swarm.positions.shape
-    r_shape = (n, 1) if config.scalar_r else (n, d)
-    r1 = rng.random(r_shape)
-    r2 = rng.random(r_shape)
+    r1 = rng.random((n, d))
+    r2 = rng.random((n, d))
 
     if config.topology is Topology.GBEST:
         p_ref = select_global_best(swarm)[0]
     else:
-        p_ref = np.stack(
-            [
-                select_neighborhood_best(swarm, i, config.m_neighbors)[0]
-                for i in range(n)
-            ]
-        )
+        p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
 
     v_new = velocity_update(
         swarm.velocities,

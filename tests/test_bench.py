@@ -134,6 +134,20 @@ class TestRunRestarts:
         assert s.best <= s.median <= max(values)
         assert len(values) == SMALL.restarts
 
+    def test_lbest_trajectory_pinned(self):
+        # lbest with m < n: pins neighbor tie-breaking and random draw order
+        cfg = ExperimentConfig(
+            restarts=3,
+            swarm=SwarmConfig(n_particles=10, m_neighbors=5, n_iterations=20),
+            master_seed=2021,
+            data_seed=1,
+        )
+        data = generate_dataset(get_setting(4), cfg.data_seed)
+        s = run_restarts(data, cfg, Topology.LBEST, setting_id=4)
+        values = [v for v, _ in s.per_restart]
+        expected = [235.0109137795319, 234.5209828475238, 234.8050202329779]
+        assert values == pytest.approx(expected, rel=1e-9, abs=0.0)
+
 
 class TestRunExperiment:
     def test_cell_count_and_order(self):

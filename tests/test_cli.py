@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from swarmfit import load_dataset
+from swarmfit import ExperimentConfig, load_dataset
+from swarmfit.bench import config_to_dict
 from swarmfit.cli import _parse_settings, main
 
 FAST = ["--restarts", "3", "--iters", "10", "--particles", "5", "--m", "3"]
@@ -105,6 +106,13 @@ class TestFit:
         assert abs(doc["summary"]["best_params"]["k_g"]) <= 3.0
         assert doc["summary"]["best_params"]["phi_g"] <= 30
 
+    def test_unset_tuning_flags_keep_library_defaults(self, tmp_path):
+        data = tmp_path / "data.csv"
+        out = tmp_path / "fit.json"
+        run(["simulate", "--setting", 4, "--seed", 1, "--out", data])
+        assert run(["fit", "--data", data, "--topology", "gbest", "--out", out]) == 0
+        assert json.loads(out.read_text())["config"] == config_to_dict(ExperimentConfig())
+
 
 class TestBench:
     def test_two_settings(self, tmp_path):
@@ -175,6 +183,24 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"setting": 4, "seed": 1, "out": "x.csv", "bogus": 1}))
         assert run(["simulate", "--config", cfg]) == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"settings": 4, "data_seed": 1, "seed": 1}, "settings"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "out_dir": 7}, "out_dir"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "restarts": [3]}, "restarts"),
+        ],
+    )
+    def test_wrong_json_type_rejected(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["bench", "--config", cfg]
+        if "out_dir" not in doc:
+            argv += ["--out-dir", tmp_path / "b"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("swarmfit: error:") and key in err
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

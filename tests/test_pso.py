@@ -127,8 +127,8 @@ class TestInitSwarm:
         dom = BoxDomain([-1.0, -1.0], [1.0, 1.0])
         swarm = init_swarm(dom, SwarmConfig(seed=5), sphere)
         assert np.array_equal(swarm.pbest_positions, swarm.positions)
-        for i, particle in enumerate(swarm.particles):
-            assert particle.best_value == sphere(particle.position)
+        for i in range(swarm.n_particles):
+            assert swarm.pbest_values[i] == sphere(swarm.positions[i])
 
     def test_non_finite_objective_maps_to_inf(self):
         dom = BoxDomain([0.0], [1.0])
@@ -213,46 +213,58 @@ class TestSelectGlobalBest:
 class TestSelectNeighborhoodBest:
     def test_distance_ranked_neighborhood(self):
         swarm = make_swarm([0.0, 1.0, 2.0, 10.0], [5.0, 4.0, 3.0, 0.0])
-        pos, val = select_neighborhood_best(swarm, 0, 2)
-        assert val == 4.0 and pos[0] == 1.0
+        pos, val = select_neighborhood_best(swarm, 2)
+        assert val[0] == 4.0 and pos[0, 0] == 1.0
 
     def test_full_neighborhood_equals_global(self):
         rng = np.random.default_rng(3)
         swarm = make_swarm(rng.normal(size=(6, 3)), rng.random(6))
+        pos, val = select_neighborhood_best(swarm, 6)
+        gpos, gval = select_global_best(swarm)
         for i in range(6):
-            pos, val = select_neighborhood_best(swarm, i, 6)
-            gpos, gval = select_global_best(swarm)
-            assert val == gval and np.array_equal(pos, gpos)
+            assert val[i] == gval and np.array_equal(pos[i], gpos)
 
     def test_self_neighborhood(self):
         rng = np.random.default_rng(4)
         swarm = make_swarm(rng.normal(size=(5, 2)), rng.random(5))
+        pos, val = select_neighborhood_best(swarm, 1)
         for i in range(5):
-            pos, val = select_neighborhood_best(swarm, i, 1)
-            assert val == swarm.pbest_values[i]
-            assert np.array_equal(pos, swarm.pbest_positions[i])
+            assert val[i] == swarm.pbest_values[i]
+            assert np.array_equal(pos[i], swarm.pbest_positions[i])
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(8)
-        swarm = make_swarm(rng.normal(size=(8, 3)), rng.random(8))
-        for i in range(8):
-            ranked = sorted(
-                range(8),
-                key=lambda j: (np.linalg.norm(swarm.positions[j] - swarm.positions[i]), j),
-            )
-            for m in range(1, 9):
-                hood = ranked[:m]
-                expect = min(hood, key=lambda j: (swarm.pbest_values[j], j))
-                pos, val = select_neighborhood_best(swarm, i, m)
-                assert val == swarm.pbest_values[expect]
-                assert np.array_equal(pos, swarm.pbest_positions[expect])
+        swarms = [make_swarm(rng.normal(size=(8, 3)), rng.random(8))]
+        # tie-heavy: duplicate points on a small integer grid (equal
+        # distances) and few distinct personal-best values (equal values)
+        for n, d in [(12, 2), (15, 1), (9, 3)]:
+            grid = rng.integers(0, 3, size=(n, d)).astype(float)
+            values = rng.integers(0, 3, size=n).astype(float)
+            swarms.append(make_swarm(grid, values, pbest_positions=rng.normal(size=(n, d))))
+        for swarm in swarms:
+            n = swarm.n_particles
+            ranked = [
+                sorted(
+                    range(n),
+                    key=lambda j: (np.linalg.norm(swarm.positions[j] - swarm.positions[i]), j),
+                )
+                for i in range(n)
+            ]
+            for m in range(1, n + 1):
+                pos, val = select_neighborhood_best(swarm, m)
+                assert pos.shape == swarm.positions.shape and val.shape == (n,)
+                for i in range(n):
+                    hood = ranked[i][:m]
+                    expect = min(hood, key=lambda j: (swarm.pbest_values[j], j))
+                    assert val[i] == swarm.pbest_values[expect]
+                    assert np.array_equal(pos[i], swarm.pbest_positions[expect])
 
     def test_m_out_of_range(self):
         swarm = make_swarm([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
-            select_neighborhood_best(swarm, 0, 3)
+            select_neighborhood_best(swarm, 3)
         with pytest.raises(ValueError):
-            select_neighborhood_best(swarm, 0, 0)
+            select_neighborhood_best(swarm, 0)
 
 
 class TestStep:
@@ -307,10 +319,10 @@ class TestStep:
         rng_ref.random((n, d))  # consume the init draws
         rng_ref.random((n, d))
         for _ in range(10):
+            pos, val = select_neighborhood_best(swarm, 1)
             for i in range(n):
-                pos, val = select_neighborhood_best(swarm, i, 1)
-                assert val == swarm.pbest_values[i]
-                assert np.array_equal(pos, swarm.pbest_positions[i])
+                assert val[i] == swarm.pbest_values[i]
+                assert np.array_equal(pos[i], swarm.pbest_positions[i])
             x0 = swarm.positions.copy()
             v0 = swarm.velocities.copy()
             pb0 = swarm.pbest_positions.copy()
@@ -344,19 +356,6 @@ class TestStep:
             step(swarm, sphere, dom, cfg, rng)
             for i in range(swarm.n_particles):
                 assert swarm.pbest_values[i] <= sphere(swarm.positions[i]) + 1e-12
-
-    def test_scalar_r_shares_draw_across_dimensions(self):
-        dom = BoxDomain([0.0, 0.0], [1.0, 1.0])
-        cfg = SwarmConfig(
-            w=0.0, c1=1.0, c2=0.0, n_particles=1, m_neighbors=1, seed=0, scalar_r=True
-        )
-        swarm = make_swarm(
-            np.array([[0.0, 0.0]]), np.array([-1.0]),
-            pbest_positions=np.array([[0.25, 0.5]]),
-        )
-        step(swarm, sphere, dom, cfg, np.random.default_rng(9))
-        # velocity = r1 * (0.25, 0.5): the same r1 in both dimensions
-        assert swarm.velocities[0, 1] == 2.0 * swarm.velocities[0, 0]
 
 
 class TestOptimize:
