@@ -128,23 +128,27 @@ def run_restarts(
     return aggregate_restarts(per_restart, topology, setting_id)
 
 
-def run_experiment(cfg: ExperimentConfig, settings) -> list[RunSummary]:
-    """Run both topologies on each requested setting.
+def _experiment(cfg: ExperimentConfig, settings):
+    """Yield (setting, dataset, [gbest, lbest summaries]) per requested setting.
 
-    Each setting's dataset is generated once from cfg.data_seed and shared
-    by both topologies and all restarts, so only the swarm initialization
-    varies across the comparison.
+    Every setting id is resolved before the first fit.  Each dataset is
+    generated once from cfg.data_seed and shared by both topologies and all
+    restarts, so only the swarm initialization varies across the comparison.
     """
-    settings = list(settings)
-    if not settings:
+    resolved = [get_setting(setting_id) for setting_id in settings]
+    if not resolved:
         raise ValueError("settings must be non-empty")
-    summaries = []
-    for setting_id in settings:
-        setting = get_setting(setting_id)
+    for setting in resolved:
         data = generate_dataset(setting, cfg.data_seed)
-        for topology in (Topology.GBEST, Topology.LBEST):
-            summaries.append(run_restarts(data, cfg, topology, setting_id))
-    return summaries
+        yield setting, data, [
+            run_restarts(data, cfg, topology, setting.id)
+            for topology in (Topology.GBEST, Topology.LBEST)
+        ]
+
+
+def run_experiment(cfg: ExperimentConfig, settings) -> list[RunSummary]:
+    """Run both topologies on each requested setting, in setting order."""
+    return [s for _, _, cell in _experiment(cfg, settings) for s in cell]
 
 
 def _fmt(value: float, places: int) -> str:
@@ -191,15 +195,14 @@ def emit_fit_curve(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    header = "t,tau_fit" + (",tau_true" if true_params is not None else "")
-    lines = [header]
-    for j in range(grid_size):
-        t = j / (grid_size - 1)
-        row = f"{t!r},{float(sigmoid_mean(t, params))!r}"
-        if true_params is not None:
-            row += f",{float(sigmoid_mean(t, true_params))!r}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    t = np.arange(grid_size) / (grid_size - 1)
+    columns = [t, sigmoid_mean(t, params)]
+    header = "t,tau_fit"
+    if true_params is not None:
+        columns.append(sigmoid_mean(t, true_params))
+        header += ",tau_true"
+    rows = (",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
+    return "\n".join([header, *rows]) + "\n"
 
 
 def summary_to_dict(s: RunSummary) -> dict:
@@ -250,16 +253,15 @@ def write_bench_outputs(out_dir, cfg: ExperimentConfig, settings) -> list[RunSum
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    settings = list(settings)
-    summaries = run_experiment(cfg, settings)
-    for setting_id in settings:
-        data = generate_dataset(get_setting(setting_id), cfg.data_seed)
-        save_dataset(data, out / f"data_{setting_id}.csv")
+    summaries: list[RunSummary] = []
+    for setting, data, cell in _experiment(cfg, settings):
+        save_dataset(data, out / f"data_{setting.id}.csv")
+        for s in cell:
+            curve = emit_fit_curve(s.best_params, setting.params)
+            (out / f"curve_{s.setting_id}_{s.topology.value}.csv").write_text(curve)
+        summaries += cell
     (out / "results.csv").write_text(emit_results_table(summaries))
     (out / "params.csv").write_text(emit_params_table(summaries))
-    for s in summaries:
-        curve = emit_fit_curve(s.best_params, get_setting(s.setting_id).params)
-        (out / f"curve_{s.setting_id}_{s.topology.value}.csv").write_text(curve)
     doc = {"config": config_to_dict(cfg), "summaries": [summary_to_dict(s) for s in summaries]}
     (out / "run.json").write_text(json.dumps(doc, indent=2) + "\n")
     return summaries

@@ -86,18 +86,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Option type -> the JSON value types it accepts; a JSON boolean is never a number.
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _coerce(source: str, key: str, value):
     """Convert a config-file value to its option type, or raise ValueError naming the key."""
     kind = _OPTION_TYPES.get(key)
     if value is None or kind is None:
         return value
-    try:
-        if kind is not str:
+    if isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
+        try:
             return kind(value)
-        if isinstance(value, str):
-            return value
-    except (TypeError, ValueError):
-        pass
+        except OverflowError:
+            pass
     raise ValueError(f"{source}: config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
@@ -144,6 +146,8 @@ def _parse_settings(raw: str | list) -> list[int]:
             return [1, 2, 3, 4, 5, 6]
         parts = [part for part in raw.split(",") if part.strip()]
     elif isinstance(raw, list):
+        if not all(isinstance(p, int) and not isinstance(p, bool) for p in raw):
+            raise ValueError(f"settings list must hold integers, got {raw!r}")
         parts = raw
     else:
         raise ValueError(f"settings must be a comma-separated string or a list, got {raw!r}")

@@ -69,14 +69,18 @@ class NbParams:
 class Dataset:
     """Paired (pseudotime, count) observations for a single gene.
 
-    Immutable after construction; log-gamma terms that depend only on the
-    counts are cached so repeated likelihood evaluations stay cheap.
+    Immutable after construction.  The likelihood terms free of tau sum to
+    one float per integer phi, computed from the distinct counts and their
+    multiplicities and cached, so each evaluation only does per-cell work
+    that depends on tau.
     """
 
     times: np.ndarray
     counts: np.ndarray
-    _lg_counts1: np.ndarray = field(init=False, repr=False)
-    _lg_cache: dict = field(init=False, repr=False)
+    _y: np.ndarray = field(init=False, repr=False)
+    _distinct: np.ndarray = field(init=False, repr=False)
+    _mult: np.ndarray = field(init=False, repr=False)
+    _phi_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -93,17 +97,22 @@ class Dataset:
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         self.counts = counts.astype(np.int64)
-        self._lg_counts1 = gammaln(self.counts + 1)
-        self._lg_cache = {}
+        self._y = self.counts.astype(float)
+        distinct, mult = np.unique(self.counts, return_counts=True)
+        self._distinct = distinct.astype(float)
+        self._mult = mult.astype(float)
+        self._phi_cache = {}
 
     def __len__(self) -> int:
         return self.times.size
 
-    def _lg_counts_plus(self, phi: int) -> np.ndarray:
-        cached = self._lg_cache.get(phi)
+    def _phi_terms(self, phi: int) -> float:
+        """Sum over cells of the terms of log NB(y_c; tau, phi) free of tau."""
+        cached = self._phi_cache.get(phi)
         if cached is None:
-            cached = gammaln(self.counts + phi)
-            self._lg_cache[phi] = cached
+            lg = float(self._mult @ _lgamma_terms(self._distinct, phi))
+            cached = lg + self.times.size * phi * math.log(phi)
+            self._phi_cache[phi] = cached
         return cached
 
 
@@ -117,6 +126,11 @@ def sigmoid_mean(t, params: NbParams):
     return np.maximum(2.0 * params.mu_g / (1.0 + np.exp(z)), TAU_FLOOR)
 
 
+def _lgamma_terms(y, phi):
+    """log C(y+phi-1, y) = lgamma(y+phi) - lgamma(y+1) - lgamma(phi)."""
+    return gammaln(y + phi) - gammaln(y + 1) - gammaln(phi)
+
+
 def nb_log_pmf(y, tau, phi):
     """Log-probability of count y under NB(mean=tau, dispersion=phi).
 
@@ -125,7 +139,9 @@ def nb_log_pmf(y, tau, phi):
         lgamma(y+phi) - lgamma(y+1) - lgamma(phi)
             + y*log(tau/(tau+phi)) + phi*log(phi/(tau+phi))
 
-    Accepts scalars or arrays (broadcast elementwise).
+    Accepts scalars or arrays (broadcast elementwise).  This is the one
+    coded copy of the NB log-pmf; neg_log_likelihood sums the same terms,
+    regrouped, and shares the log-gamma part through _lgamma_terms.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
@@ -133,9 +149,7 @@ def nb_log_pmf(y, tau, phi):
     if phi < 1:
         raise ValueError("phi must be >= 1")
     return (
-        gammaln(y + phi)
-        - gammaln(y + 1)
-        - gammaln(phi)
+        _lgamma_terms(y, phi)
         + y * np.log(tau / (tau + phi))
         + phi * np.log(phi / (tau + phi))
     )
@@ -145,19 +159,15 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under the given parameters.
 
     Finite for every valid parameter vector thanks to the sigmoid floor.
-    Equivalent to -sum(nb_log_pmf(y_c, tau(t_c), phi)) but reuses the
-    dataset's cached log-gamma terms.
+    Equals -sum(nb_log_pmf(y_c, tau(t_c), phi)) up to rounding, regrouped
+    as the dataset's cached phi-only sum plus the tau-dependent part
+
+        sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
     """
     phi = params.phi_g
     tau = sigmoid_mean(data.times, params)
-    terms = (
-        data._lg_counts_plus(phi)
-        - data._lg_counts1
-        - gammaln(phi)
-        + data.counts * np.log(tau / (tau + phi))
-        + phi * np.log(phi / (tau + phi))
-    )
-    return -float(np.sum(terms))
+    y = data._y
+    return -float(data._phi_terms(phi) + y @ np.log(tau) - (y + phi) @ np.log(tau + phi))
 
 
 def build_domain(

@@ -190,6 +190,12 @@ class TestConfigFile:
             ({"settings": 4, "data_seed": 1, "seed": 1}, "settings"),
             ({"settings": "4", "data_seed": 1, "seed": 1, "out_dir": 7}, "out_dir"),
             ({"settings": "4", "data_seed": 1, "seed": 1, "restarts": [3]}, "restarts"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "restarts": 2.9}, "restarts"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "restarts": True}, "restarts"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "restarts": "2"}, "restarts"),
+            ({"settings": "4", "data_seed": 1, "seed": 1, "w": False}, "'w'"),
+            ({"settings": [True], "data_seed": 1, "seed": 1}, "settings"),
+            ({"settings": [4.5], "data_seed": 1, "seed": 1}, "settings"),
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, doc, key):

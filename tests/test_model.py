@@ -1,8 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmfit import (
     Dataset,
@@ -255,6 +258,90 @@ class TestNegLogLikelihood:
         assert domain.contains(truth)
         result = optimize(make_objective(data), domain, SwarmConfig(seed=1))
         assert result.best_value <= neg_log_likelihood(setting.params, data) + 0.5
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def box_points(draw, domain):
+    """A point of the box: each coordinate at a face or strictly inside, and
+    the dispersion coordinate sometimes exactly on a .5 rounding boundary."""
+    x = []
+    for lo, hi in zip(domain.lower, domain.upper):
+        where = draw(st.sampled_from(["lower", "upper", "inside"]))
+        if where == "inside":
+            x.append(lo + draw(st.floats(0.0, 1.0)) * (hi - lo))
+        else:
+            x.append(lo if where == "lower" else hi)
+    if draw(st.booleans()):
+        x[3] = draw(st.integers(int(domain.lower[3]), int(domain.upper[3]) - 1)) + 0.5
+    return np.array(x)
+
+
+@st.composite
+def edge_datasets(draw):
+    """C = 1, all-zero counts, constant pseudotime, or counts in the thousands."""
+    kind = draw(st.sampled_from(["single", "zeros", "constant_t", "thousands"]))
+    c = 1 if kind == "single" else draw(st.integers(2, 60))
+    high = 5000 if kind in ("single", "thousands") else 30
+    low = 1000 if kind == "thousands" else 0
+    times = draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c))
+    if kind == "constant_t":
+        times = [times[0]] * c
+    counts = draw(st.lists(st.integers(low, high), min_size=c, max_size=c))
+    if kind == "zeros":
+        counts = [0] * c
+    return Dataset(times, counts)
+
+
+def quiet_domain(data):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # degenerate mu box
+        return build_domain(data)
+
+
+def summed_pmf_nll(x, data):
+    """Reference: -sum of the per-cell nb_log_pmf, and the magnitude of the
+    terms the folded NLL adds up, which bounds its rounding error.  Rounding
+    tau+phi costs about one ulp of log(tau+phi) in absolute terms, so each
+    (y+phi)*log(tau+phi) term counts as at least y+phi."""
+    params = decode_position(x)
+    phi = params.phi_g
+    tau = sigmoid_mean(data.times, params)
+    ref = -float(np.sum(nb_log_pmf(data.counts, tau, phi)))
+    y = data.counts
+    magnitude = float(len(data) * phi * math.log(phi)
+                      + y @ np.abs(np.log(tau)) + (y + phi) @ (np.log(tau + phi) + 1.0))
+    return ref, magnitude
+
+
+class TestLikelihoodProperties:
+    """The folded NLL against the checked per-cell pmf, on points of the box.
+
+    Tolerance: 1e-12 relative to the NLL on the simulator's datasets.  On
+    arbitrary datasets the NLL can be far smaller than the terms it sums
+    (all-zero counts at tau ~ 0 give an NLL near 0 from terms of size
+    C*phi*log(phi)), so there the bound is 1e-12 of the NLL plus 1e-14 of
+    that term magnitude.
+    """
+
+    @PROPERTY
+    @given(setting_id=st.integers(1, 6), seed=st.integers(0, 2**32), draw=st.data())
+    def test_matches_summed_pmf_on_simulated_data(self, setting_id, seed, draw):
+        data = generate_dataset(get_setting(setting_id), seed)
+        x = draw.draw(box_points(quiet_domain(data)))
+        ref, _ = summed_pmf_nll(x, data)
+        assert make_objective(data)(x) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @PROPERTY
+    @given(data=edge_datasets(), draw=st.data())
+    def test_finite_and_matches_summed_pmf_on_edge_data(self, data, draw):
+        x = draw.draw(box_points(quiet_domain(data)))
+        ref, magnitude = summed_pmf_nll(x, data)
+        got = make_objective(data)(x)
+        assert math.isfinite(got)
+        assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * magnitude
 
 
 class TestBuildDomain:
