@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .pso import BoxDomain
 
@@ -72,12 +71,15 @@ class Dataset:
     Immutable after construction.  The likelihood terms free of tau sum to
     one float per integer phi, computed from the distinct counts and their
     multiplicities and cached, so each evaluation only does per-cell work
-    that depends on tau.
+    that depends on tau.  The pseudotime range (t_lo, t_hi) is kept so an
+    evaluation can tell without a pass over the cells whether the sigmoid's
+    exp argument needs clamping.
     """
 
     times: np.ndarray
     counts: np.ndarray
     _y: np.ndarray = field(init=False, repr=False)
+    _span: tuple[float, float] = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
     _mult: np.ndarray = field(init=False, repr=False)
     _phi_cache: dict = field(init=False, repr=False)
@@ -98,6 +100,7 @@ class Dataset:
             raise ValueError("counts must be non-negative")
         self.counts = counts.astype(np.int64)
         self._y = self.counts.astype(float)
+        self._span = (float(self.times.min()), float(self.times.max()))
         distinct, mult = np.unique(self.counts, return_counts=True)
         self._distinct = distinct.astype(float)
         self._mult = mult.astype(float)
@@ -116,19 +119,57 @@ class Dataset:
         return cached
 
 
+def _tau(t, span, k, t0, mu, out):
+    """Write the floored sigmoid mean at pseudotimes t into out; return out.
+
+    span is (min t, max t).  |k*(t - t0)| peaks at an end of that range and
+    rounding is monotone, so when |k|*max(t_hi - t0, t0 - t_lo) is within
+    EXP_CLAMP no element needs the clamp and it is skipped exactly.
+    """
+    t_lo, t_hi = span
+    np.subtract(t, t0, out=out)
+    out *= -k
+    if abs(k) * max(t_hi - t0, t0 - t_lo) > EXP_CLAMP:
+        np.clip(out, -EXP_CLAMP, EXP_CLAMP, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(2.0 * mu, out, out=out)
+    return np.maximum(out, TAU_FLOOR, out=out)
+
+
 def sigmoid_mean(t, params: NbParams):
     """Mean count at pseudotime t; accepts a scalar or an array.
 
     Floored at TAU_FLOOR so the result is strictly positive even when the
     sigmoid saturates toward 0.
     """
-    z = np.clip(-params.k_g * (t - params.t_g), -EXP_CLAMP, EXP_CLAMP)
-    return np.maximum(2.0 * params.mu_g / (1.0 + np.exp(z)), TAU_FLOOR)
+    t = np.asarray(t, dtype=float)
+    span = (np.min(t, initial=np.inf), np.max(t, initial=-np.inf))  # t may be empty
+    tau = _tau(t, span, params.k_g, params.t_g, params.mu_g, np.empty_like(t))
+    return tau[()]
+
+
+def _lgamma_scalar(v: float) -> float:
+    try:
+        return math.lgamma(v)
+    except (ValueError, OverflowError):  # pole at a non-positive integer, or huge v
+        return math.inf
+
+
+def _lgamma(x):
+    """math.lgamma elementwise on a scalar or an array.
+
+    +inf at the non-positive integers, as scipy.special.gammaln gives.
+    """
+    if np.ndim(x) == 0:
+        return _lgamma_scalar(float(x))
+    x = np.asarray(x, dtype=float)
+    return np.array([_lgamma_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _lgamma_terms(y, phi):
     """log C(y+phi-1, y) = lgamma(y+phi) - lgamma(y+1) - lgamma(phi)."""
-    return gammaln(y + phi) - gammaln(y + 1) - gammaln(phi)
+    return _lgamma(y + phi) - _lgamma(y + 1) - _lgamma(phi)
 
 
 def nb_log_pmf(y, tau, phi):
@@ -155,6 +196,16 @@ def nb_log_pmf(y, tau, phi):
     )
 
 
+def _nll(data: Dataset, k: float, t0: float, mu: float, phi: int, work: np.ndarray) -> float:
+    """NLL at (k, t0, mu, phi) computed inside the (2, C) scratch array work."""
+    tau = _tau(data.times, data._span, k, t0, mu, work[0])
+    y = data._y
+    s = y @ np.log(tau, out=work[1])
+    tau += phi
+    np.log(tau, out=tau)
+    return -float(data._phi_terms(phi) + s - np.add(y, phi, out=work[1]) @ tau)
+
+
 def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under the given parameters.
 
@@ -164,10 +215,8 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
 
         sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
     """
-    phi = params.phi_g
-    tau = sigmoid_mean(data.times, params)
-    y = data._y
-    return -float(data._phi_terms(phi) + y @ np.log(tau) - (y + phi) @ np.log(tau + phi))
+    work = np.empty((2, len(data)))
+    return _nll(data, params.k_g, params.t_g, params.mu_g, params.phi_g, work)
 
 
 def build_domain(
@@ -183,12 +232,13 @@ def build_domain(
     guarded at MU_FLOOR.
     """
     k_lo, k_hi = float(k_bounds[0]), float(k_bounds[1])
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        raise ValueError(f"k_bounds must be finite, got ({k_lo}, {k_hi})")
     if not k_lo < k_hi:
         raise ValueError("k_bounds must satisfy lower < upper")
     if phi_max < 1:
         raise ValueError("phi_max must be >= 1")
-    t_lo = float(data.times.min())
-    t_hi = float(data.times.max())
+    t_lo, t_hi = data._span
     y_min = int(data.counts.min())
     y_max = int(data.counts.max())
     mu_lo = max(y_min / 2.0, MU_FLOOR)
@@ -213,19 +263,29 @@ def decode_position(x) -> NbParams:
     makes the objective piecewise constant in that coordinate.
     """
     x = np.asarray(x, dtype=float)
-    phi = max(1, int(math.floor(float(x[3]) + 0.5)))
-    return NbParams(float(x[0]), float(x[1]), float(x[2]), phi)
+    return NbParams(float(x[0]), float(x[1]), float(x[2]), _round_phi(float(x[3])))
+
+
+def _round_phi(v: float) -> int:
+    """Dispersion coordinate -> integer phi: round half up, clamp below at 1."""
+    return max(1, math.floor(v + 0.5))
 
 
 def make_objective(data: Dataset) -> Callable[[np.ndarray], float]:
     """Objective over the 4-d search box: x -> NLL(decode_position(x), data).
 
-    Pure and safe for concurrent invocation; permutation of the dataset
-    rows leaves it unchanged pointwise.
+    Equal bit for bit to neg_log_likelihood(decode_position(x), data);
+    permutation of the dataset rows leaves it unchanged pointwise.  Each
+    objective owns the scratch buffers it evaluates in, so a call allocates
+    no per-cell array; build one objective per thread.
     """
+    work = np.empty((2, len(data)))
 
     def objective(x: np.ndarray) -> float:
-        return neg_log_likelihood(decode_position(x), data)
+        k, t0, mu, phi = np.asarray(x, dtype=float)[:4].tolist()
+        if mu <= 0:
+            raise ValueError("mu_g must be positive")
+        return _nll(data, k, t0, mu, _round_phi(phi), work)
 
     return objective
 

@@ -79,10 +79,10 @@ class SwarmConfig:
     """Tuning parameters for one optimization run.
 
     ``w``, ``c1`` and ``c2`` are the inertia, cognitive and social
-    coefficients; values outside [0, 2] are unusual and trigger a warning
-    rather than an error.  ``m_neighbors`` is only consulted by the
-    local-best topology.  The random coefficients r1, r2 are drawn once
-    per particle and dimension.
+    coefficients.  They must be finite; values outside [0, 2] are unusual
+    and trigger a warning rather than an error.  ``m_neighbors`` is only
+    consulted by the local-best topology.  The random coefficients r1, r2
+    are drawn once per particle and dimension.
     """
 
     w: float = 0.9
@@ -111,6 +111,8 @@ class SwarmConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("w", "c1", "c2"):
             value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if not 0.0 <= value <= 2.0:
                 warnings.warn(
                     f"{name}={value} is outside the usual [0, 2] range",

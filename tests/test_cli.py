@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import swarmfit
 from swarmfit import ExperimentConfig, load_dataset
 from swarmfit.bench import config_to_dict
 from swarmfit.cli import _parse_settings, main
@@ -12,6 +17,18 @@ FAST = ["--restarts", "3", "--iters", "10", "--particles", "5", "--m", "3"]
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(swarmfit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, swarmfit, swarmfit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestParseSettings:
@@ -115,6 +132,26 @@ class TestFit:
 
 
 class TestBench:
+    @pytest.mark.parametrize(
+        "key, named",
+        [("w", "w"), ("c1", "c1"), ("c2", "c2"), ("k_min", "k_bounds"), ("k_max", "k_bounds")],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_float_rejected(self, tmp_path, capsys, key, named, value, via):
+        argv = ["bench", "--settings", "4", "--data-seed", 1, "--seed", 2,
+                "--restarts", 1, "--out-dir", tmp_path / "b"]
+        if via == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        else:
+            # written as NaN / Infinity, which json.loads reads as floats
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: float(value)}))
+            argv += ["--config", cfg]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"swarmfit: error: {named} must be finite")
+
     def test_two_settings(self, tmp_path):
         out = tmp_path / "bench"
         code = run(

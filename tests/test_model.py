@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -6,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from swarmfit import (
     Dataset,
@@ -23,7 +27,7 @@ from swarmfit import (
     sigmoid_mean,
     SwarmConfig,
 )
-from swarmfit.model import MU_FLOOR, TAU_FLOOR
+from swarmfit.model import EXP_CLAMP, MU_FLOOR, TAU_FLOOR, _lgamma_terms
 
 
 def rational_log_pmf(y: int, tau: Fraction, phi: int) -> float:
@@ -344,6 +348,130 @@ class TestLikelihoodProperties:
         assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * magnitude
 
 
+def clamped_sigmoid_mean(t, params):
+    """Reference: the sigmoid with its exp argument always clamped."""
+    z = np.clip(-params.k_g * (t - params.t_g), -EXP_CLAMP, EXP_CLAMP)
+    return np.maximum(2.0 * params.mu_g / (1.0 + np.exp(z)), TAU_FLOOR)
+
+
+@st.composite
+def steep_points(draw, domain):
+    """A box point whose k reaches 1e4 in magnitude, sometimes exactly where
+    |k|*max(t_hi - t0, t0 - t_lo) crosses EXP_CLAMP."""
+    x = draw(box_points(domain))
+    reach = max(domain.upper[1] - x[1], x[1] - domain.lower[1])
+    if reach > 0 and draw(st.booleans()):
+        k = EXP_CLAMP / reach
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            k = np.nextafter(k, np.inf if steps > 0 else 0.0)
+        x[0] = draw(st.sampled_from([-1.0, 1.0])) * k
+    else:
+        x[0] = draw(st.floats(-1e4, 1e4))
+    return x
+
+
+class TestObjectiveProperties:
+    """The allocation-free objective against the reference paths."""
+
+    @PROPERTY
+    @given(y=st.lists(st.integers(0, 10**5), min_size=1, max_size=8), phi=st.integers(1, 200))
+    def test_lgamma_terms_match_gammaln(self, y, phi):
+        y = np.array(y, dtype=float)
+        parts = (gammaln(y + phi), gammaln(y + 1), gammaln(phi))
+        ref = parts[0] - parts[1] - parts[2]
+        bound = 1e-15 * sum(np.abs(p) for p in parts)
+        assert np.all(np.abs(_lgamma_terms(y, phi) - ref) <= bound)
+        assert abs(_lgamma_terms(y[0], phi) - ref[0]) <= bound[0]
+
+    @PROPERTY
+    @given(phi=st.integers(2, 200), draw=st.data(), tau=st.floats(1e-6, 1e4))
+    def test_log_pmf_is_minus_inf_at_negative_counts(self, phi, draw, tau):
+        # lgamma(y+1) has its pole at every negative y; at y <= -phi
+        # lgamma(y+phi) has one too and the terms give inf - inf = nan
+        y = draw.draw(st.integers(1 - phi, -1))
+        assert nb_log_pmf(y, tau, phi) == -math.inf
+        assert nb_log_pmf(np.array([y, 0]), tau, phi)[0] == -math.inf
+
+    @PROPERTY
+    @given(setting_id=st.integers(1, 6), seed=st.integers(0, 2**32), draw=st.data())
+    def test_objective_equals_neg_log_likelihood_bitwise(self, setting_id, seed, draw):
+        data = generate_dataset(get_setting(setting_id), seed)
+        domain = build_domain(data, k_bounds=(-1e4, 1e4))
+        objective = make_objective(data)
+        for x in draw.draw(st.lists(steep_points(domain), min_size=1, max_size=4)):
+            params = decode_position(x)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an unclamped exp overflow warns
+                assert objective(x) == neg_log_likelihood(params, data)
+            tau = sigmoid_mean(data.times, params)
+            assert np.array_equal(tau, clamped_sigmoid_mean(data.times, params))
+
+    @PROPERTY
+    @given(setting_id=st.integers(1, 6), seed=st.integers(0, 2**32), draw=st.data())
+    def test_objectives_of_one_dataset_called_alternately(self, setting_id, seed, draw):
+        data = generate_dataset(get_setting(setting_id), seed)
+        points = draw.draw(st.lists(steep_points(quiet_domain(data)), min_size=2, max_size=6))
+        f, g = make_objective(data), make_objective(data)
+        expected = [neg_log_likelihood(decode_position(x), data) for x in points]
+        got = [(f if i % 2 else g)(x) for i, x in enumerate(points)]
+        got += [(g if i % 2 else f)(x) for i, x in enumerate(points)]
+        assert got == expected * 2
+
+    @PROPERTY
+    @given(mu=st.floats(-1e3, 0.0), draw=st.data())
+    def test_objective_rejects_nonpositive_mu(self, mu, draw):
+        data = generate_dataset(get_setting(draw.draw(st.integers(1, 6))), 1)
+        x = draw.draw(box_points(quiet_domain(data)))
+        x[2] = mu
+        with pytest.raises(ValueError, match="mu_g must be positive"):
+            make_objective(data)(x)
+
+
+class TestObjectiveBuffers:
+    wide = Dataset(np.linspace(0.0, 1.0, 20_000), np.arange(20_000) % 37)
+
+    def test_call_allocates_no_per_cell_array(self):
+        objective = make_objective(self.wide)
+        x = np.array([3.0, 0.5, 9.0, 7.0])
+        objective(x)  # fills the phi cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in range(5):
+                objective(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * len(self.wide)
+
+    def test_one_objective_per_thread(self):
+        # numpy releases the GIL inside each ufunc, so buffers shared between
+        # objectives would be overwritten by another thread mid-evaluation
+        rng = np.random.default_rng(0)
+        domain = quiet_domain(self.wide)
+        points = rng.uniform(domain.lower, domain.upper, size=(40, 4))
+        expected = [neg_log_likelihood(decode_position(x), self.wide) for x in points]
+        results = {}
+
+        def work(i):
+            objective = make_objective(self.wide)
+            results[i] = [objective(x) for x in points]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == {i: expected for i in range(4)}
+
+
 class TestBuildDomain:
     def test_boxes_from_data(self):
         data = Dataset(times=[0.0, 0.5, 1.0], counts=[2, 4, 10])
@@ -379,6 +507,14 @@ class TestBuildDomain:
         data = Dataset(times=[0.1], counts=[1])
         with pytest.raises(ValueError):
             build_domain(data, k_bounds=(3.0, 3.0))
+
+    @pytest.mark.parametrize(
+        "k_bounds", [(math.nan, 3.0), (-3.0, math.nan), (-math.inf, 3.0), (-3.0, math.inf)]
+    )
+    def test_non_finite_k_bounds(self, k_bounds):
+        data = Dataset(times=[0.1], counts=[1])
+        with pytest.raises(ValueError, match="k_bounds must be finite"):
+            build_domain(data, k_bounds=k_bounds)
 
     def test_invalid_phi_max(self):
         data = Dataset(times=[0.1], counts=[1])

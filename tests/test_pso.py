@@ -94,6 +94,12 @@ class TestSwarmConfig:
         with pytest.warns(UserWarning, match="outside the usual"):
             SwarmConfig(w=2.5)
 
+    @pytest.mark.parametrize("name", ["w", "c1", "c2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_coefficient_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SwarmConfig(**{name: value})
+
     def test_topology_from_string(self):
         cfg = SwarmConfig(topology="lbest")
         assert cfg.topology is Topology.LBEST
