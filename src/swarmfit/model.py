@@ -31,6 +31,13 @@ TAU_FLOOR = 1e-12
 EXP_CLAMP = 700.0
 # Lower guard on the mu box when the smallest observed count is 0.
 MU_FLOOR = 1e-6
+# Largest exp argument for which _tau tests whether the floor can bind; well
+# below 709.78, where math.exp overflows.
+_FLOOR_TEST_MAX = 600.0
+# 0-d operands: a ufunc converts a Python float operand on every call, which
+# at a few hundred cells costs as much as the arithmetic.
+_ONE = np.array(1.0)
+_TAU_FLOOR = np.array(TAU_FLOOR)
 
 DEFAULT_K_BOUNDS = (-20.0, 20.0)
 DEFAULT_PHI_MAX = 200
@@ -73,7 +80,7 @@ class Dataset:
     multiplicities and cached, so each evaluation only does per-cell work
     that depends on tau.  The pseudotime range (t_lo, t_hi) is kept so an
     evaluation can tell without a pass over the cells whether the sigmoid's
-    exp argument needs clamping.
+    exp clamp or floor can act.
     """
 
     times: np.ndarray
@@ -122,19 +129,29 @@ class Dataset:
 def _tau(t, span, k, t0, mu, out):
     """Write the floored sigmoid mean at pseudotimes t into out; return out.
 
-    span is (min t, max t).  |k*(t - t0)| peaks at an end of that range and
-    rounding is monotone, so when |k|*max(t_hi - t0, t0 - t_lo) is within
-    EXP_CLAMP no element needs the clamp and it is skipped exactly.
+    span is (min t, max t).  z = -k*(t - t0) peaks at an end of that range
+    and rounding is monotone, so no element's z exceeds
+    reach = |k|*max(t_hi - t0, t0 - t_lo), and the smallest tau is
+    2*mu/(1 + exp(z)) where z peaks.  Both guards are skipped exactly when
+    reach shows they cannot act: the exp clamp while reach is within
+    EXP_CLAMP, the floor while 2*mu/(1 + exp(reach)) is at least
+    2*TAU_FLOOR.  The factor 2 keeps that test clear of the last-bit
+    differences between math.exp and np.exp; above _FLOOR_TEST_MAX the
+    floor is always applied, so math.exp cannot overflow.
     """
     t_lo, t_hi = span
-    np.subtract(t, t0, out=out)
-    out *= -k
-    if abs(k) * max(t_hi - t0, t0 - t_lo) > EXP_CLAMP:
+    reach = abs(k) * max(t_hi - t0, t0 - t_lo)
+    np.subtract(t, t0, out)
+    np.multiply(out, -k, out)
+    if reach > EXP_CLAMP:
         np.clip(out, -EXP_CLAMP, EXP_CLAMP, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(2.0 * mu, out, out=out)
-    return np.maximum(out, TAU_FLOOR, out=out)
+    np.exp(out, out)
+    np.add(out, _ONE, out)
+    np.divide(2.0 * mu, out, out)
+    # written so that a nan reach or mu applies the floor
+    if not (reach <= _FLOOR_TEST_MAX and 2.0 * mu / (1.0 + math.exp(reach)) >= 2.0 * TAU_FLOOR):
+        np.maximum(out, _TAU_FLOOR, out=out)
+    return out
 
 
 def sigmoid_mean(t, params: NbParams):
@@ -180,30 +197,47 @@ def nb_log_pmf(y, tau, phi):
         lgamma(y+phi) - lgamma(y+1) - lgamma(phi)
             + y*log(tau/(tau+phi)) + phi*log(phi/(tau+phi))
 
-    Accepts scalars or arrays (broadcast elementwise).  This is the one
-    coded copy of the NB log-pmf; neg_log_likelihood sums the same terms,
-    regrouped, and shares the log-gamma part through _lgamma_terms.
+    Accepts scalars or arrays (broadcast elementwise).  A negative y is
+    outside the support and gives -inf; it is evaluated as 0, because at
+    y <= -phi both lgamma(y+phi) and lgamma(y+1) sit on poles and would give
+    inf - inf.  This is the one coded copy of the NB log-pmf;
+    neg_log_likelihood sums the same terms, regrouped, and shares the
+    log-gamma part through _lgamma_terms.
     """
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise ValueError("tau must be positive")
     if phi < 1:
         raise ValueError("phi must be >= 1")
-    return (
+    negative = np.less(y, 0)
+    y = np.where(negative, 0, y)
+    log_p = (
         _lgamma_terms(y, phi)
         + y * np.log(tau / (tau + phi))
         + phi * np.log(phi / (tau + phi))
     )
+    return np.where(negative, -np.inf, log_p)[()]
 
 
-def _nll(data: Dataset, k: float, t0: float, mu: float, phi: int, work: np.ndarray) -> float:
-    """NLL at (k, t0, mu, phi) computed inside the (2, C) scratch array work."""
-    tau = _tau(data.times, data._span, k, t0, mu, work[0])
-    y = data._y
-    s = y @ np.log(tau, out=work[1])
-    tau += phi
-    np.log(tau, out=tau)
-    return -float(data._phi_terms(phi) + s - np.add(y, phi, out=work[1]) @ tau)
+def _nll_fn(data: Dataset) -> Callable[[float, float, float, int], float]:
+    """Bind the NLL to data: returns nll(k, t0, mu, phi).
+
+    nll evaluates in two scratch rows of C floats owned by this binding, so a
+    call allocates no per-cell array, and must not run on two threads at once.
+    """
+    t, span, y, phi_terms = data.times, data._span, data._y, data._phi_terms
+    work, scratch = np.empty((2, len(data)))
+
+    def nll(k: float, t0: float, mu: float, phi: int) -> float:
+        tau = _tau(t, span, k, t0, mu, work)
+        s = float(y.dot(np.log(tau, scratch)))
+        phi_ = np.array(float(phi))
+        np.add(tau, phi_, tau)
+        np.log(tau, tau)
+        s_phi = float(np.add(y, phi_, scratch).dot(tau))
+        return -(phi_terms(phi) + s - s_phi)
+
+    return nll
 
 
 def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
@@ -215,8 +249,7 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
 
         sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
     """
-    work = np.empty((2, len(data)))
-    return _nll(data, params.k_g, params.t_g, params.mu_g, params.phi_g, work)
+    return _nll_fn(data)(params.k_g, params.t_g, params.mu_g, params.phi_g)
 
 
 def build_domain(
@@ -275,17 +308,21 @@ def make_objective(data: Dataset) -> Callable[[np.ndarray], float]:
     """Objective over the 4-d search box: x -> NLL(decode_position(x), data).
 
     Equal bit for bit to neg_log_likelihood(decode_position(x), data);
-    permutation of the dataset rows leaves it unchanged pointwise.  Each
-    objective owns the scratch buffers it evaluates in, so a call allocates
-    no per-cell array; build one objective per thread.
+    permutation of the dataset rows leaves it unchanged pointwise.  x must
+    hold exactly 4 coordinates (ValueError otherwise).  Each objective owns
+    the scratch buffers it evaluates in, so a call allocates no per-cell
+    array; build one objective per thread.
     """
-    work = np.empty((2, len(data)))
+    nll = _nll_fn(data)
 
     def objective(x: np.ndarray) -> float:
-        k, t0, mu, phi = np.asarray(x, dtype=float)[:4].tolist()
+        try:
+            k, t0, mu, phi = np.asarray(x, dtype=float).tolist()
+        except (TypeError, ValueError):  # a scalar, or not 4 coordinates
+            raise ValueError(f"x must hold 4 coordinates, got shape {np.shape(x)}") from None
         if mu <= 0:
             raise ValueError("mu_g must be positive")
-        return _nll(data, k, t0, mu, _round_phi(phi), work)
+        return nll(k, t0, mu, _round_phi(phi))
 
     return objective
 

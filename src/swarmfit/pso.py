@@ -13,8 +13,10 @@ current positions).
 
 The swarm is held as arrays with one row per particle, and every stage of
 an iteration (random draws, reference selection, velocity and position
-updates, personal-best refresh) acts on the whole swarm at once; only the
-objective is called point by point.
+updates, personal-best refresh) acts on the whole swarm at once.  The
+objective keeps a scalar contract, x (d,) -> float: it is mapped over the
+rows of the positions into one (n,) array, one call per particle, and every
+non-finite value is then set to +inf.
 
 Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
@@ -152,11 +154,15 @@ class Swarm:
         return self.positions.shape[0]
 
 
-def _evaluate(objective: Objective, x: np.ndarray) -> float:
-    # Non-finite objective values are mapped to +inf so the swarm can
-    # traverse undefined regions without crashing.
-    value = float(objective(x))
-    return value if math.isfinite(value) else math.inf
+def _evaluate_all(objective: Objective, positions: np.ndarray) -> np.ndarray:
+    """Objective value of every row of positions, as an (n,) float array.
+
+    Non-finite values are mapped to +inf so the swarm can traverse undefined
+    regions without crashing.
+    """
+    values = np.fromiter(map(objective, positions), float, positions.shape[0])
+    values[~np.isfinite(values)] = np.inf
+    return values
 
 
 def init_swarm(
@@ -178,7 +184,7 @@ def init_swarm(
     positions = rng.uniform(domain.lower, domain.upper, size=(n, d))
     half_span = domain.span / 2.0
     velocities = rng.uniform(-half_span, half_span, size=(n, d))
-    values = np.array([_evaluate(objective, positions[i]) for i in range(n)])
+    values = _evaluate_all(objective, positions)
     g = int(np.argmin(values))
     return Swarm(
         positions=positions,
@@ -203,7 +209,7 @@ def position_update(x, v_new, domain: BoxDomain):
     """
     candidate = x + v_new
     out = (candidate < domain.lower) | (candidate > domain.upper)
-    position = np.clip(candidate, domain.lower, domain.upper)
+    position = np.minimum(np.maximum(candidate, domain.lower), domain.upper)
     velocity = np.where(out, 0.0, v_new)
     return position, velocity
 
@@ -226,8 +232,17 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     n = swarm.n_particles
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    p = swarm.positions
-    distances = np.linalg.norm(p[None] - p[:, None], axis=2)
+    # one (n, n) plane of squared differences per dimension, added in
+    # dimension order: for d < 8 that is how np.linalg.norm adds over the last
+    # axis, so distances and their ties match it bit for bit (from d = 8 numpy
+    # adds pairwise and the last bit can differ)
+    columns = swarm.positions.T.copy()
+    squared = columns[:, None, :] - columns[:, :, None]
+    np.multiply(squared, squared, squared)
+    distances = squared[0]
+    for plane in squared[1:]:
+        distances += plane
+    np.sqrt(distances, distances)
     # ascending index order inside each neighborhood makes argmin's
     # first-minimum rule break value ties toward the lower index
     hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
@@ -269,13 +284,13 @@ def step(
         r2,
     )
     positions, velocities = position_update(swarm.positions, v_new, domain)
-    values = np.array([_evaluate(objective, positions[i]) for i in range(n)])
+    values = _evaluate_all(objective, positions)
 
     swarm.positions = positions
     swarm.velocities = velocities
     improved = values < swarm.pbest_values
-    swarm.pbest_positions[improved] = positions[improved]
-    swarm.pbest_values[improved] = values[improved]
+    np.copyto(swarm.pbest_positions, positions, where=improved[:, None])
+    np.copyto(swarm.pbest_values, values, where=improved)
 
     g = int(np.argmin(swarm.pbest_values))
     if swarm.pbest_values[g] < swarm.best_value:

@@ -371,8 +371,67 @@ def steep_points(draw, domain):
     return x
 
 
+@st.composite
+def floor_cases(draw):
+    """(dataset, k, t0, mu): the smallest tau, 2*mu/(1 + exp(reach)), lands
+    on either side of TAU_FLOOR or of the 2*TAU_FLOOR test that skips the
+    floor, with mu down to MU_FLOOR and |k| up to 1e4.  k's sign makes z
+    peak on the longer side of t0, so z's peak equals reach.  Sometimes the
+    case is moved to a reach where np.exp rounds above math.exp and mu to
+    within a few ulps of the level, the spot where a skip test without its
+    margin goes wrong."""
+    c = draw(st.integers(1, 30))
+    times = draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c))
+    counts = draw(st.lists(st.integers(0, 50), min_size=c, max_size=c))
+    t_lo, t_hi = min(times), max(times)
+    t0 = draw(st.floats(t_lo, t_hi))
+    side = max(t_hi - t0, t0 - t_lo)
+    sign = 1.0 if t0 - t_lo >= t_hi - t0 else -1.0
+    mu = draw(st.just(MU_FLOOR) | st.floats(-6.0, 4.0).map(lambda e: 10.0**e))
+    level = draw(st.sampled_from([TAU_FLOOR, 2 * TAU_FLOOR]))
+    level *= draw(st.sampled_from([0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0]))
+    if side == 0.0:
+        return Dataset(times, counts), draw(st.floats(-1e4, 1e4)), t0, mu
+    k = min(math.log(2.0 * mu / level - 1.0) / side, 1e4)
+    if k * side < 600.0 and draw(st.booleans()):
+        for _ in range(2000):
+            reach = k * side
+            e = math.exp(reach)
+            if np.exp(np.array([reach]))[0] > e:
+                mu = level * (1.0 + e) / 2.0
+                for _ in range(draw(st.integers(0, 4))):
+                    mu = np.nextafter(mu, draw(st.sampled_from([0.0, np.inf])))
+                break
+            k = np.nextafter(k, np.inf)
+    return Dataset(times, counts), sign * float(k), t0, float(mu)
+
+
+def reference_nll(x, data):
+    """Reference: the NLL summed in the objective's operation order, from
+    clamped_sigmoid_mean, which always clamps and always floors."""
+    params = decode_position(x)
+    tau = clamped_sigmoid_mean(data.times, params)
+    y = data.counts.astype(float)
+    s = y @ np.log(tau)
+    phi = params.phi_g
+    return -float(data._phi_terms(phi) + s - (y + phi) @ np.log(tau + phi))
+
+
 class TestObjectiveProperties:
     """The allocation-free objective against the reference paths."""
+
+    @PROPERTY
+    @given(case=floor_cases(), phi=st.integers(1, 200))
+    def test_floor_skip_is_exact(self, case, phi):
+        data, k, t0, mu = case
+        params = NbParams(k, t0, mu, phi)
+        x = np.array([k, t0, mu, float(phi)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unclamped exp overflow warns
+            tau = sigmoid_mean(data.times, params)
+            got = make_objective(data)(x)
+        assert tau.tobytes() == clamped_sigmoid_mean(data.times, params).tobytes()
+        assert got == reference_nll(x, data)
 
     @PROPERTY
     @given(y=st.lists(st.integers(0, 10**5), min_size=1, max_size=8), phi=st.integers(1, 200))
@@ -385,11 +444,11 @@ class TestObjectiveProperties:
         assert abs(_lgamma_terms(y[0], phi) - ref[0]) <= bound[0]
 
     @PROPERTY
-    @given(phi=st.integers(2, 200), draw=st.data(), tau=st.floats(1e-6, 1e4))
+    @given(phi=st.integers(1, 200), draw=st.data(), tau=st.floats(1e-6, 1e4))
     def test_log_pmf_is_minus_inf_at_negative_counts(self, phi, draw, tau):
         # lgamma(y+1) has its pole at every negative y; at y <= -phi
-        # lgamma(y+phi) has one too and the terms give inf - inf = nan
-        y = draw.draw(st.integers(1 - phi, -1))
+        # lgamma(y+phi) has one too, and the terms would give inf - inf = nan
+        y = draw.draw(st.integers(-3 * phi, -1))
         assert nb_log_pmf(y, tau, phi) == -math.inf
         assert nb_log_pmf(np.array([y, 0]), tau, phi)[0] == -math.inf
 
@@ -550,6 +609,11 @@ class TestMakeObjective:
         a = objective(np.array([3.0, 0.5, 4.0, 24.6]))
         b = objective(np.array([3.0, 0.5, 4.0, 25.4]))
         assert a == b
+
+    @pytest.mark.parametrize("x", [[3.0, 0.5, 4.0], [3.0, 0.5, 4.0, 12.2, 99.0], 3.0])
+    def test_rejects_x_without_four_coordinates(self, x):
+        with pytest.raises(ValueError, match="4 coordinates"):
+            make_objective(self.data)(np.asarray(x))
 
     def test_row_permutation_pointwise(self):
         shuffled = Dataset(self.data.times[::-1], self.data.counts[::-1])

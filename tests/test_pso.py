@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmfit import (
     BoxDomain,
@@ -216,6 +218,44 @@ class TestSelectGlobalBest:
         assert val == 4.0 and pos[0] == 7.0
 
 
+def norm_neighborhood_best(swarm, m):
+    """Reference: one np.linalg.norm over the (n, n, d) differences, then the
+    same stable ranking and lowest-index tie-breaks."""
+    p = swarm.positions
+    distances = np.linalg.norm(p[None] - p[:, None], axis=2)
+    hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
+    best = hoods[np.arange(len(p)), np.argmin(swarm.pbest_values[hoods], axis=1)]
+    return swarm.pbest_positions[best], swarm.pbest_values[best]
+
+
+@st.composite
+def lbest_swarms(draw):
+    """(swarm, m) with n in 1..50, d in 1..7 and m in 1..n drawn uniformly
+    (hypothesis would favour small n and m at 1 or n).  Positions are real, on a
+    small integer grid (exact distance ties), real with duplicated rows, or
+    coordinate permutations of one real row (distances equal in exact
+    arithmetic that rounding may split); pbest values may repeat."""
+    kind = draw(st.sampled_from(["real", "grid", "duplicated", "permuted"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, d = int(rng.integers(1, 51)), int(rng.integers(1, 8))
+    if kind == "grid":
+        positions = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "permuted":
+        row = rng.normal(size=d)
+        positions = np.array([rng.permutation(row) for _ in range(n)])
+        positions[rng.random(n) < 0.2] = 0.0
+    else:
+        positions = rng.normal(size=(n, d)) * rng.uniform(1e-3, 1e3, size=d)
+        if kind == "duplicated":
+            positions[rng.integers(0, n, n // 2)] = positions[rng.integers(0, n, n // 2)]
+    if draw(st.booleans()):
+        values = rng.integers(0, 3, size=n).astype(float)
+    else:
+        values = rng.random(n)
+    swarm = make_swarm(positions, values, pbest_positions=rng.normal(size=(n, d)))
+    return swarm, int(rng.integers(1, n + 1))
+
+
 class TestSelectNeighborhoodBest:
     def test_distance_ranked_neighborhood(self):
         swarm = make_swarm([0.0, 1.0, 2.0, 10.0], [5.0, 4.0, 3.0, 0.0])
@@ -264,6 +304,15 @@ class TestSelectNeighborhoodBest:
                     expect = min(hood, key=lambda j: (swarm.pbest_values[j], j))
                     assert val[i] == swarm.pbest_values[expect]
                     assert np.array_equal(pos[i], swarm.pbest_positions[expect])
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(case=lbest_swarms())
+    def test_matches_norm_reference(self, case):
+        swarm, m = case
+        pos, val = select_neighborhood_best(swarm, m)
+        ref_pos, ref_val = norm_neighborhood_best(swarm, m)
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert val.tobytes() == ref_val.tobytes()
 
     def test_m_out_of_range(self):
         swarm = make_swarm([0.0, 1.0], [1.0, 2.0])
