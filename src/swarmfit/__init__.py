@@ -1,91 +1,23 @@
-"""swarmfit: box-constrained PSO applied to negative-binomial pseudotime regression."""
+"""swarmfit: box-constrained PSO applied to negative-binomial pseudotime regression.
 
-from .bench import (
-    ExperimentConfig,
-    RunSummary,
-    aggregate_restarts,
-    emit_fit_curve,
-    emit_params_table,
-    emit_results_table,
-    mix64,
-    run_experiment,
-    run_restarts,
-    write_bench_outputs,
-)
-from .model import (
-    Dataset,
-    NbParams,
-    build_domain,
-    decode_position,
-    load_dataset,
-    make_objective,
-    nb_log_pmf,
-    neg_log_likelihood,
-    save_dataset,
-    sigmoid_mean,
-)
-from .pso import (
-    BoxDomain,
-    OptResult,
-    Swarm,
-    SwarmConfig,
-    Topology,
-    init_swarm,
-    optimize,
-    position_update,
-    select_global_best,
-    select_neighborhood_best,
-    step,
-    velocity_update,
-)
-from .simulate import (
-    Setting,
-    builtin_settings,
-    generate_dataset,
-    get_setting,
-    sample_nb,
-    sample_pseudotimes,
-)
+The package exports the names the README's Library section uses; everything
+else is imported from its submodule (``pso``, ``model``, ``simulate``,
+``bench``).
+"""
+
+from .model import build_domain, decode_position, make_objective
+from .pso import BoxDomain, SwarmConfig, optimize
+from .simulate import generate_dataset, get_setting
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoxDomain",
-    "Dataset",
-    "ExperimentConfig",
-    "NbParams",
-    "OptResult",
-    "RunSummary",
-    "Setting",
-    "Swarm",
     "SwarmConfig",
-    "Topology",
-    "aggregate_restarts",
     "build_domain",
-    "builtin_settings",
     "decode_position",
-    "emit_fit_curve",
-    "emit_params_table",
-    "emit_results_table",
     "generate_dataset",
     "get_setting",
-    "init_swarm",
-    "load_dataset",
     "make_objective",
-    "mix64",
-    "nb_log_pmf",
-    "neg_log_likelihood",
     "optimize",
-    "position_update",
-    "run_experiment",
-    "run_restarts",
-    "sample_nb",
-    "sample_pseudotimes",
-    "save_dataset",
-    "select_global_best",
-    "select_neighborhood_best",
-    "sigmoid_mean",
-    "step",
-    "velocity_update",
-    "write_bench_outputs",
 ]

@@ -31,6 +31,9 @@ TAU_FLOOR = 1e-12
 EXP_CLAMP = 700.0
 # Lower guard on the mu box when the smallest observed count is 0.
 MU_FLOOR = 1e-6
+# Largest count accepted: the largest integer a float (the likelihood's copy
+# of the counts) holds exactly.
+MAX_COUNT = 2**53
 # Largest exp argument for which _tau tests whether the floor can bind; well
 # below 709.78, where math.exp overflows.
 _FLOOR_TEST_MAX = 600.0
@@ -100,11 +103,16 @@ class Dataset:
             raise ValueError("times and counts must have equal length >= 1")
         if not np.all(np.isfinite(self.times)):
             raise ValueError("times must be finite")
+        # range first, while the counts are as given: past 2**63 they are a
+        # uint64 or object array, which the int64 cast would wrap and
+        # np.isfinite rejects with a TypeError
+        if np.any(counts < 0):
+            raise ValueError("counts must be non-negative")
+        if np.any(counts > MAX_COUNT):
+            raise ValueError(f"counts must be at most 2**53 = {MAX_COUNT}")
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(np.isfinite(counts)) or np.any(counts != np.floor(counts)):
                 raise ValueError("counts must be integers")
-        if np.any(counts < 0):
-            raise ValueError("counts must be non-negative")
         self.counts = counts.astype(np.int64)
         self._y = self.counts.astype(float)
         self._span = (float(self.times.min()), float(self.times.max()))

@@ -6,10 +6,11 @@ Implements the classic inertia-weight velocity/position dynamics
     x' = x + v'
 
 with two ways of choosing the reference point ``ref``: the global-best
-topology (every particle is pulled toward the best record of the whole
-swarm) and the local-best topology (each particle is pulled toward the
-best record among its m nearest neighbors by Euclidean distance on the
-current positions).
+topology (every particle is pulled toward the lowest personal best of the
+whole swarm) and the local-best topology (each particle is pulled toward
+the lowest personal best among its m nearest neighbors by Euclidean
+distance on the current positions).  The swarm keeps no record beside the
+personal bests: its best is always their minimum.
 
 The swarm is held as arrays with one row per particle, and every stage of
 an iteration (random draws, reference selection, velocity and position
@@ -62,6 +63,10 @@ class BoxDomain:
             raise ValueError("domain bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
+        with np.errstate(over="ignore"):
+            span = self.span
+        if not np.all(np.isfinite(span)):
+            raise ValueError("domain span upper - lower must be finite")
 
     @property
     def dim(self) -> int:
@@ -124,7 +129,7 @@ class SwarmConfig:
 
 @dataclass(eq=False)
 class OptResult:
-    """Terminal swarm-best record plus the per-iteration best-value trace."""
+    """Lowest terminal personal best plus the per-iteration best-value trace."""
 
     best_position: np.ndarray
     best_value: float
@@ -136,18 +141,15 @@ class Swarm:
     """Full swarm state, stored as arrays with one row per particle.
 
     Row i of ``positions``, ``velocities``, ``pbest_positions`` and
-    ``pbest_values`` is particle i.
-    ``best_position``/``best_value`` hold the swarm-wide best record; the
-    record is only replaced on strict improvement, scanning particles in
-    index order.
+    ``pbest_values`` is particle i.  The swarm best is the lowest personal
+    best, ``pbest_values.min()``; when several particles tie at that value,
+    it is the one with the lowest index.
     """
 
     positions: np.ndarray        # (n, d)
     velocities: np.ndarray       # (n, d)
     pbest_positions: np.ndarray  # (n, d)
     pbest_values: np.ndarray     # (n,)
-    best_position: np.ndarray    # (d,)
-    best_value: float
 
     @property
     def n_particles(self) -> int:
@@ -175,8 +177,7 @@ def init_swarm(
 
     Positions are uniform inside the box; velocities are uniform in
     +-(range/2) per dimension.  Personal bests start at the initial
-    positions and the swarm best is the lowest of those, earliest index
-    winning ties.
+    positions.
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
@@ -184,15 +185,11 @@ def init_swarm(
     positions = rng.uniform(domain.lower, domain.upper, size=(n, d))
     half_span = domain.span / 2.0
     velocities = rng.uniform(-half_span, half_span, size=(n, d))
-    values = _evaluate_all(objective, positions)
-    g = int(np.argmin(values))
     return Swarm(
         positions=positions,
         velocities=velocities,
         pbest_positions=positions.copy(),
-        pbest_values=values,
-        best_position=positions[g].copy(),
-        best_value=float(values[g]),
+        pbest_values=_evaluate_all(objective, positions),
     )
 
 
@@ -212,12 +209,6 @@ def position_update(x, v_new, domain: BoxDomain):
     position = np.minimum(np.maximum(candidate, domain.lower), domain.upper)
     velocity = np.where(out, 0.0, v_new)
     return position, velocity
-
-
-def select_global_best(swarm: Swarm):
-    """Lowest personal-best record of the whole swarm, earliest index on ties."""
-    g = int(np.argmin(swarm.pbest_values))
-    return swarm.pbest_positions[g].copy(), float(swarm.pbest_values[g])
 
 
 def select_neighborhood_best(swarm: Swarm, m: int):
@@ -260,15 +251,16 @@ def step(
     """Advance the swarm one iteration in place (synchronous update).
 
     Reference points are selected from the state at the start of the
-    iteration, all particles then move, and the swarm-best record is
-    refreshed last.
+    iteration, all particles then move, and the personal bests are
+    refreshed last.  The gbest reference is the lowest personal best,
+    lowest index on ties.
     """
     n, d = swarm.positions.shape
     r1 = rng.random((n, d))
     r2 = rng.random((n, d))
 
     if config.topology is Topology.GBEST:
-        p_ref = select_global_best(swarm)[0]
+        p_ref = swarm.pbest_positions[np.argmin(swarm.pbest_values)]
     else:
         p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
 
@@ -291,11 +283,6 @@ def step(
     improved = values < swarm.pbest_values
     np.copyto(swarm.pbest_positions, positions, where=improved[:, None])
     np.copyto(swarm.pbest_values, values, where=improved)
-
-    g = int(np.argmin(swarm.pbest_values))
-    if swarm.pbest_values[g] < swarm.best_value:
-        swarm.best_position = swarm.pbest_positions[g].copy()
-        swarm.best_value = float(swarm.pbest_values[g])
     return swarm
 
 
@@ -303,8 +290,10 @@ def optimize(objective: Objective, domain: BoxDomain, config: SwarmConfig) -> Op
     """Run the full PSO loop for a fixed iteration budget.
 
     Deterministic given ``config.seed``: two runs with identical inputs
-    produce identical results.  The returned trace holds the swarm-best
-    value after each iteration and is monotonically non-increasing.
+    produce identical results.  The returned trace holds the lowest
+    personal-best value after each iteration and is monotonically
+    non-increasing.  The result is the lowest personal best at the end;
+    when several particles tie at that value, the lowest-index one.
     """
     domain.validate()
     config.validate()
@@ -313,9 +302,10 @@ def optimize(objective: Objective, domain: BoxDomain, config: SwarmConfig) -> Op
     trace = np.empty(config.n_iterations)
     for k in range(config.n_iterations):
         step(swarm, objective, domain, config, rng)
-        trace[k] = swarm.best_value
+        trace[k] = swarm.pbest_values.min()
+    g = int(np.argmin(swarm.pbest_values))
     return OptResult(
-        best_position=swarm.best_position.copy(),
-        best_value=swarm.best_value,
+        best_position=swarm.pbest_positions[g].copy(),
+        best_value=float(swarm.pbest_values[g]),
         trace=trace,
     )

@@ -15,26 +15,18 @@ import pytest
 
 from swarmfit import (
     BoxDomain,
-    Dataset,
-    ExperimentConfig,
-    NbParams,
     SwarmConfig,
-    Topology,
     build_domain,
     decode_position,
     generate_dataset,
     get_setting,
-    init_swarm,
     make_objective,
-    nb_log_pmf,
-    neg_log_likelihood,
     optimize,
-    run_experiment,
-    run_restarts,
-    sample_nb,
-    sigmoid_mean,
-    step,
 )
+from swarmfit.bench import ExperimentConfig, run_experiment, run_restarts
+from swarmfit.model import Dataset, NbParams, nb_log_pmf, neg_log_likelihood, sigmoid_mean
+from swarmfit.pso import Topology, init_swarm, step
+from swarmfit.simulate import sample_nb
 from swarmfit.cli import main as cli_main
 
 DATA_SEED = 20260811

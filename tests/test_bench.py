@@ -3,25 +3,22 @@ import json
 import numpy as np
 import pytest
 
-from swarmfit import (
+from swarmfit import SwarmConfig, generate_dataset, get_setting
+from swarmfit.bench import (
     ExperimentConfig,
-    NbParams,
     RunSummary,
-    SwarmConfig,
-    Topology,
     aggregate_restarts,
     emit_fit_curve,
     emit_params_table,
     emit_results_table,
-    generate_dataset,
-    get_setting,
-    load_dataset,
     mix64,
     run_experiment,
     run_restarts,
+    summary_to_dict,
     write_bench_outputs,
 )
-from swarmfit.bench import summary_to_dict
+from swarmfit.model import NbParams, load_dataset
+from swarmfit.pso import Topology
 
 SMALL = ExperimentConfig(
     restarts=4,

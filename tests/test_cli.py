@@ -1,18 +1,25 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swarmfit
-from swarmfit import ExperimentConfig, load_dataset
-from swarmfit.bench import config_to_dict
+from swarmfit.bench import ExperimentConfig, config_to_dict
 from swarmfit.cli import _parse_settings, main
+from swarmfit.model import load_dataset
 
 FAST = ["--restarts", "3", "--iters", "10", "--particles", "5", "--m", "3"]
+TINY = ["--restarts", "1", "--iters", "1", "--particles", "2", "--m", "1"]
 
 
 def run(argv):
@@ -122,6 +129,25 @@ class TestFit:
         assert doc["config"]["phi_max"] == 30
         assert abs(doc["summary"]["best_params"]["k_g"]) <= 3.0
         assert doc["summary"]["best_params"]["phi_g"] <= 30
+
+    @pytest.mark.parametrize(
+        "rows, flags, diagnostic",
+        [
+            # past 2**63 the count used to wrap to -2**63 and the fit exited 0
+            (["0.1,1", f"0.5,{2**63}"], [], "counts must be at most 2**53"),
+            # past 2**64 the counts became an object array np.isfinite rejects
+            (["0.1,1", f"0.5,{2**64}"], [], "counts must be at most 2**53"),
+            # a span of 2e308 is inf, and drawing the swarm raised OverflowError
+            (["-1e308,1", "1e308,5"], [], "domain span"),
+            (["0.1,1", "0.5,5"], ["--k-min=-1e308", "--k-max=1e308"], "domain span"),
+        ],
+    )
+    def test_out_of_range_input_rejected(self, tmp_path, capsys, rows, flags, diagnostic):
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n" + "\n".join(rows) + "\n")
+        argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json"]
+        assert run(argv + TINY + flags) == 1
+        assert capsys.readouterr().err.startswith(f"swarmfit: error: {diagnostic}")
 
     def test_unset_tuning_flags_keep_library_defaults(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -250,3 +276,40 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert run(["simulate", "--config", cfg]) == 1
         assert "error" in capsys.readouterr().err
+
+
+# cells a fit accepts, the box edges of the float range among them, and cells
+# it must reject with a diagnostic
+GOOD_TIMES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e308, -1e308]))
+GOOD_COUNTS = st.one_of(st.integers(0, 50), st.integers(2**53 - 2, 2**53))
+BAD_TIMES = st.sampled_from([math.nan, math.inf, -math.inf])
+BAD_COUNTS = st.one_of(
+    st.integers(-(2**70), -1),
+    st.integers(2**53 + 1, 2**65),
+    st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: not v.is_integer()),
+)
+
+
+@st.composite
+def csv_rows(draw):
+    """1-6 (t, y) rows; in about half the files one cell is bad."""
+    rows = draw(st.lists(st.tuples(GOOD_TIMES, GOOD_COUNTS), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(rows) - 1))
+        t, y = rows[i]
+        rows[i] = (draw(BAD_TIMES), y) if draw(st.booleans()) else (t, draw(BAD_COUNTS))
+    return rows
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(rows=csv_rows())
+def test_any_csv_runs_or_exits_1_with_diagnostic(rows):
+    """A t,y CSV either fits or exits 1 with a diagnostic, never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data.csv"
+        data.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(["fit", "--data", data, "--topology", "gbest",
+                        "--out", Path(tmp) / "f.json"] + TINY)
+    assert code == 0 or (code == 1 and "swarmfit: error: " in err.getvalue()), err.getvalue()

@@ -12,22 +12,27 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from swarmfit import (
-    Dataset,
-    NbParams,
+    SwarmConfig,
     build_domain,
     decode_position,
     generate_dataset,
     get_setting,
-    load_dataset,
     make_objective,
+    optimize,
+)
+from swarmfit.model import (
+    EXP_CLAMP,
+    MU_FLOOR,
+    TAU_FLOOR,
+    Dataset,
+    NbParams,
+    _lgamma_terms,
+    load_dataset,
     nb_log_pmf,
     neg_log_likelihood,
-    optimize,
     save_dataset,
     sigmoid_mean,
-    SwarmConfig,
 )
-from swarmfit.model import EXP_CLAMP, MU_FLOOR, TAU_FLOOR, _lgamma_terms
 
 
 def rational_log_pmf(y: int, tau: Fraction, phi: int) -> float:
@@ -78,6 +83,15 @@ class TestDataset:
     def test_non_finite_times(self):
         with pytest.raises(ValueError):
             Dataset(times=[np.nan], counts=[1])
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 2**63, 2**64, 1e300, np.inf])
+    def test_count_above_2_53_rejected(self, count):
+        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+            Dataset(times=[0.1, 0.2], counts=[1, count])
+
+    def test_count_2_53_accepted(self):
+        data = Dataset(times=[0.1, 0.2], counts=[1, 2**53])
+        assert data.counts[1] == 2**53 and data._y[1] == 2**53
 
     def test_integral_floats_accepted(self):
         data = Dataset(times=[0.1, 0.9], counts=[2.0, 0.0])

@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swarmfit import (
-    BoxDomain,
+from swarmfit import BoxDomain, SwarmConfig, optimize
+from swarmfit.pso import (
     Swarm,
-    SwarmConfig,
     Topology,
     init_swarm,
-    optimize,
     position_update,
-    select_global_best,
     select_neighborhood_best,
     step,
     velocity_update,
@@ -33,14 +30,11 @@ def make_swarm(positions, pbest_values, velocities=None, pbest_positions=None):
         velocities = np.zeros_like(positions)
     if pbest_positions is None:
         pbest_positions = positions.copy()
-    g = int(np.argmin(pbest_values))
     return Swarm(
         positions=positions,
         velocities=np.asarray(velocities, dtype=float),
-        pbest_positions=np.asarray(pbest_positions, dtype=float),
+        pbest_positions=np.asarray(pbest_positions, dtype=float).reshape(positions.shape),
         pbest_values=pbest_values,
-        best_position=pbest_positions[g].copy(),
-        best_value=float(pbest_values[g]),
     )
 
 
@@ -67,6 +61,10 @@ class TestBoxDomain:
     def test_non_finite(self):
         with pytest.raises(ValueError):
             BoxDomain([0.0], [np.inf])
+
+    def test_span_overflow(self):
+        with pytest.raises(ValueError, match="span"):
+            BoxDomain([0.0, -1e308], [1.0, 1e308])
 
     def test_degenerate_allowed(self):
         dom = BoxDomain([3.0], [3.0])
@@ -129,7 +127,7 @@ class TestInitSwarm:
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.pbest_values, b.pbest_values)
-        assert a.best_value == b.best_value
+        assert a.pbest_values.min() == b.pbest_values.min()
 
     def test_personal_best_starts_at_position(self):
         dom = BoxDomain([-1.0, -1.0], [1.0, 1.0])
@@ -142,8 +140,11 @@ class TestInitSwarm:
         dom = BoxDomain([0.0], [1.0])
         swarm = init_swarm(dom, SwarmConfig(seed=2), lambda x: float("nan"))
         assert np.all(np.isinf(swarm.pbest_values))
-        # all-inf swarm: earliest particle holds the (degenerate) best
-        assert np.array_equal(swarm.best_position, swarm.positions[0])
+        # all-inf swarm: no personal best ever improves, and the lowest index
+        # holds the (degenerate) best
+        result = optimize(lambda x: float("nan"), dom, SwarmConfig(seed=2))
+        assert result.best_value == np.inf
+        assert np.array_equal(result.best_position, swarm.positions[0])
 
 
 class TestVelocityUpdate:
@@ -201,21 +202,40 @@ class TestPositionUpdate:
         assert np.array_equal(vel, [1.5, 0.0])
 
 
-class TestSelectGlobalBest:
+def gbest_reference_used(swarm):
+    """Index of the personal best that one gbest step pulled every particle
+    toward, recovered by replaying the step's velocity rule per candidate."""
+    n, d = swarm.positions.shape
+    dom = BoxDomain([-100.0] * d, [100.0] * d)
+    cfg = SwarmConfig(n_particles=n, m_neighbors=1, seed=0)
+    x0, v0, pb0 = swarm.positions.copy(), swarm.velocities.copy(), swarm.pbest_positions.copy()
+    step(swarm, lambda x: 1e9, dom, cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    r1, r2 = rng.random((n, d)), rng.random((n, d))
+    used = [
+        j for j in range(n)
+        if np.array_equal(
+            swarm.velocities, velocity_update(v0, x0, pb0, pb0[j], cfg.w, cfg.c1, cfg.c2, r1, r2)
+        )
+    ]
+    assert len(used) == 1
+    return used[0]
+
+
+class TestGlobalBestReference:
+    """step's gbest reference is pbest_positions[argmin(pbest_values)]."""
+
     def test_argmin(self):
-        swarm = make_swarm([0.0, 1.0, 2.0], [3.0, 1.0, 2.0])
-        pos, val = select_global_best(swarm)
-        assert val == 1.0 and pos[0] == 1.0
+        swarm = make_swarm([0.0, 1.0, 2.0], [3.0, 1.0, 2.0], pbest_positions=[5.0, 6.0, 7.0])
+        assert gbest_reference_used(swarm) == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        swarm = make_swarm([0.0, 1.0, 2.0], [2.0, 2.0, 5.0])
-        pos, val = select_global_best(swarm)
-        assert val == 2.0 and pos[0] == 0.0
+        swarm = make_swarm([0.0, 1.0, 2.0], [2.0, 2.0, 5.0], pbest_positions=[5.0, 6.0, 7.0])
+        assert gbest_reference_used(swarm) == 0
 
     def test_singleton(self):
-        swarm = make_swarm([7.0], [4.0])
-        pos, val = select_global_best(swarm)
-        assert val == 4.0 and pos[0] == 7.0
+        swarm = make_swarm([7.0], [4.0], pbest_positions=[5.0])
+        assert gbest_reference_used(swarm) == 0
 
 
 def norm_neighborhood_best(swarm, m):
@@ -266,7 +286,8 @@ class TestSelectNeighborhoodBest:
         rng = np.random.default_rng(3)
         swarm = make_swarm(rng.normal(size=(6, 3)), rng.random(6))
         pos, val = select_neighborhood_best(swarm, 6)
-        gpos, gval = select_global_best(swarm)
+        g = int(np.argmin(swarm.pbest_values))
+        gpos, gval = swarm.pbest_positions[g], swarm.pbest_values[g]
         for i in range(6):
             assert val[i] == gval and np.array_equal(pos[i], gpos)
 
@@ -332,18 +353,18 @@ class TestStep:
         step(swarm, sphere, dom, cfg, rng)
         assert np.array_equal(swarm.positions, positions)
         assert np.array_equal(swarm.velocities, np.zeros((4, 2)))
-        assert swarm.best_value == 0.0
+        assert swarm.pbest_values.min() == 0.0
 
     def test_best_never_degrades(self):
         dom = BoxDomain([-5.0, -5.0], [5.0, 5.0])
         cfg = SwarmConfig(seed=21)
         rng = np.random.default_rng(21)
         swarm = init_swarm(dom, cfg, sphere, rng)
-        previous = swarm.best_value
+        previous = swarm.pbest_values.min()
         for _ in range(30):
             step(swarm, sphere, dom, cfg, rng)
-            assert swarm.best_value <= previous
-            previous = swarm.best_value
+            assert swarm.pbest_values.min() <= previous
+            previous = swarm.pbest_values.min()
 
     def test_gbest_matches_lbest_with_full_neighborhood(self):
         dom = BoxDomain([-5.0, -5.0], [5.0, 5.0])
@@ -360,7 +381,7 @@ class TestStep:
             assert np.array_equal(sw_g.positions, sw_l.positions)
             assert np.array_equal(sw_g.velocities, sw_l.velocities)
             assert np.array_equal(sw_g.pbest_values, sw_l.pbest_values)
-            assert sw_g.best_value == sw_l.best_value
+            assert sw_g.pbest_values.min() == sw_l.pbest_values.min()
 
     def test_single_neighbor_reduces_to_personal_update(self):
         # with m=1 the reference point is the particle's own best, so the
@@ -445,6 +466,28 @@ class TestOptimize:
         assert result.trace.shape == (60,)
         assert np.all(np.diff(result.trace) <= 0.0)
         assert result.best_value == result.trace[-1]
+
+    def test_tie_reports_lowest_index(self):
+        # plateau at the minimum: replay the run step by step and check that a
+        # higher-index particle reached 0.0 first, then that the result is the
+        # lowest-index particle's personal best, not the first to get there
+        dom = BoxDomain([0.0], [1.0])
+        plateau = lambda x: max(0.9 - float(x[0]), 0.0)
+        cfg = SwarmConfig(n_particles=4, m_neighbors=1, n_iterations=20, seed=1)
+        rng = np.random.default_rng(cfg.seed)
+        swarm = init_swarm(dom, cfg, plateau, rng)
+        first = None
+        for _ in range(cfg.n_iterations):
+            if first is None and swarm.pbest_values.min() == 0.0:
+                first = int(np.argmin(swarm.pbest_values))
+            step(swarm, plateau, dom, cfg, rng)
+        lowest = int(np.argmin(swarm.pbest_values))
+        assert first is not None and lowest < first
+        assert swarm.pbest_positions[lowest, 0] != swarm.pbest_positions[first, 0]
+
+        result = optimize(plateau, dom, cfg)
+        assert np.array_equal(result.best_position, swarm.pbest_positions[lowest])
+        assert result.best_value == result.trace[-1] == 0.0
 
     def test_lbest_converges_on_sphere(self):
         dom = BoxDomain([-5.0, -5.0], [5.0, 5.0])

@@ -2,15 +2,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from swarmfit import (
-    builtin_settings,
-    generate_dataset,
-    get_setting,
-    nb_log_pmf,
-    sample_nb,
-    sample_pseudotimes,
-    sigmoid_mean,
-)
+from swarmfit import generate_dataset, get_setting
+from swarmfit.model import nb_log_pmf, sigmoid_mean
+from swarmfit.simulate import builtin_settings, sample_nb, sample_pseudotimes
 
 
 class TestBuiltinSettings:
