@@ -14,10 +14,12 @@ personal bests: its best is always their minimum.
 
 The swarm is held as arrays with one row per particle, and every stage of
 an iteration (random draws, reference selection, velocity and position
-updates, personal-best refresh) acts on the whole swarm at once.  The
-objective keeps a scalar contract, x (d,) -> float: it is mapped over the
-rows of the positions into one (n,) array, one call per particle, and every
-non-finite value is then set to +inf.
+updates, evaluation, personal-best refresh) acts on the whole swarm at
+once.  An objective takes one point, x (d,) -> float.  One whose
+``batched`` attribute is True, as the model's objective is, also takes the
+whole swarm, positions (n, d) -> (n,) values, and is called once per
+iteration; any other is called once per particle.  Every non-finite value is
+then set to +inf.
 
 Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
@@ -34,7 +36,8 @@ from typing import Callable
 
 import numpy as np
 
-Objective = Callable[[np.ndarray], float]
+# x (d,) -> float; with a true ``batched`` attribute also (n, d) -> (n,)
+Objective = Callable[[np.ndarray], float | np.ndarray]
 
 
 class Topology(str, Enum):
@@ -159,10 +162,20 @@ class Swarm:
 def _evaluate_all(objective: Objective, positions: np.ndarray) -> np.ndarray:
     """Objective value of every row of positions, as an (n,) float array.
 
-    Non-finite values are mapped to +inf so the swarm can traverse undefined
-    regions without crashing.
+    A batched objective gets the whole (n, d) array in one call and must
+    return (n,) values (ValueError otherwise); any other objective is called
+    once per row.  Non-finite values are mapped to +inf so the swarm can
+    traverse undefined regions without crashing.
     """
-    values = np.fromiter(map(objective, positions), float, positions.shape[0])
+    n = positions.shape[0]
+    if getattr(objective, "batched", False):
+        values = np.array(objective(positions), dtype=float)
+        if values.shape != (n,):
+            raise ValueError(
+                f"a batched objective must return shape ({n},), got {values.shape}"
+            )
+    else:
+        values = np.fromiter(map(objective, positions), float, n)
     values[~np.isfinite(values)] = np.inf
     return values
 

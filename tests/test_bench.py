@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import swarmfit.bench as bench
 from swarmfit import SwarmConfig, generate_dataset, get_setting
 from swarmfit.bench import (
     ExperimentConfig,
@@ -130,6 +131,25 @@ class TestRunRestarts:
         assert s.best == min(values)
         assert s.best <= s.median <= max(values)
         assert len(values) == SMALL.restarts
+
+    @pytest.mark.parametrize("topology", list(Topology))
+    def test_row_path_equals_swarm_path(self, monkeypatch, topology):
+        # a plain callable has no batched marker, so pso calls it once per
+        # particle, as a traced benchmark run does; the results must not move
+        cfg = ExperimentConfig(
+            restarts=3,
+            swarm=SwarmConfig(n_particles=40, m_neighbors=8, n_iterations=25),
+            master_seed=7,
+        )
+        data = generate_dataset(get_setting(6), 2)
+        swarm_path = run_restarts(data, cfg, topology)
+        make_objective = bench.make_objective
+        monkeypatch.setattr(
+            bench, "make_objective", lambda d: (lambda f: lambda x: f(x))(make_objective(d))
+        )
+        row_path = run_restarts(data, cfg, topology)
+        for (va, pa), (vb, pb) in zip(swarm_path.per_restart, row_path.per_restart, strict=True):
+            assert va == vb and pa.tobytes() == pb.tobytes()
 
     def test_lbest_trajectory_pinned(self):
         # lbest with m < n: pins neighbor tie-breaking and random draw order

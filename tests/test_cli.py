@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestFit:
         argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json"]
         assert run(argv + TINY + flags) == 1
         assert capsys.readouterr().err.startswith(f"swarmfit: error: {diagnostic}")
+
+    def test_huge_pseudotime_span_fits_without_warnings(self, tmp_path):
+        # k*(t - t0) overflows to inf on this span before the exp clamp maps
+        # it into range, which used to print a numpy RuntimeWarning
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n0,1\n1e308,5\n0.5,3\n")
+        argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json",
+                "--restarts", "2", "--iters", "20"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
 
     def test_unset_tuning_flags_keep_library_defaults(self, tmp_path):
         data = tmp_path / "data.csv"

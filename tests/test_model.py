@@ -21,6 +21,7 @@ from swarmfit import (
     optimize,
 )
 from swarmfit.model import (
+    _BLOCK_CELLS,
     EXP_CLAMP,
     MU_FLOOR,
     TAU_FLOOR,
@@ -492,13 +493,44 @@ class TestObjectiveProperties:
         assert got == expected * 2
 
     @PROPERTY
+    @given(
+        c=st.sampled_from([1, 3, 100, _BLOCK_CELLS // 2 - 1, _BLOCK_CELLS - 1, _BLOCK_CELLS + 1]),
+        seed=st.integers(0, 2**32),
+        draw=st.data(),
+    )
+    def test_swarm_call_equals_point_calls_bitwise(self, c, seed, draw):
+        # C on both sides of _BLOCK_CELLS and n not a multiple of the rows per
+        # block; with |k| up to 1e4 and mu down to MU_FLOOR, clamped, floored
+        # and plain rows share a block
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.random(c), rng.integers(0, 60, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # degenerate mu box
+            domain = build_domain(data, k_bounds=(-1e4, 1e4))
+        rows = max(1, _BLOCK_CELLS // c)
+        n = draw.draw(st.integers(1, 3)) if rows == 1 else rows * draw.draw(st.integers(0, 1))
+        n += draw.draw(st.integers(1, min(rows - 1, 60))) if rows > 1 else 0
+        points = np.array(draw.draw(st.lists(steep_points(domain), min_size=n, max_size=n)))
+        objective = make_objective(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an unclamped exp overflow warns
+            got = objective(points)
+            expected = [objective(x) for x in points]
+        assert got.shape == (n,)
+        assert got.tolist() == expected
+        assert expected == [reference_nll(x, data) for x in points]
+
+    @PROPERTY
     @given(mu=st.floats(-1e3, 0.0), draw=st.data())
     def test_objective_rejects_nonpositive_mu(self, mu, draw):
         data = generate_dataset(get_setting(draw.draw(st.integers(1, 6))), 1)
-        x = draw.draw(box_points(quiet_domain(data)))
-        x[2] = mu
+        points = draw.draw(st.lists(box_points(quiet_domain(data)), min_size=1, max_size=5))
+        i = draw.draw(st.integers(0, len(points) - 1))
+        points[i][2] = mu
         with pytest.raises(ValueError, match="mu_g must be positive"):
-            make_objective(data)(x)
+            make_objective(data)(points[i])
+        with pytest.raises(ValueError, match="mu_g must be positive"):
+            make_objective(data)(np.array(points))
 
 
 class TestObjectiveBuffers:
@@ -517,6 +549,30 @@ class TestObjectiveBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 8 * len(self.wide)
+
+    def test_swarm_call_allocates_no_swarm_by_cells_array(self):
+        # C = 100 gives 40 rows per block.  numpy's iterator buffers a
+        # broadcast operand, up to one block of cells, so at n = 40 (one block)
+        # that buffer alone holds n*C floats; at n = 400 a per-swarm array
+        # of cells would be ten times larger than anything the call allocates
+        data = generate_dataset(get_setting(6), 1)
+        objective = make_objective(data)
+        domain = quiet_domain(data)
+        points = np.random.default_rng(0).uniform(domain.lower, domain.upper, size=(400, 4))
+        peaks = []
+        for n in (40, 400):
+            objective(points[:n])  # fills the phi cache
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                for _ in range(3):
+                    objective(points[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        block = 8 * (_BLOCK_CELLS // len(data)) * len(data)
+        assert peaks[0] < 3 * block
+        assert peaks[1] < 8 * 400 * len(data) / 2
 
     def test_one_objective_per_thread(self):
         # numpy releases the GIL inside each ufunc, so buffers shared between
@@ -624,10 +680,28 @@ class TestMakeObjective:
         b = objective(np.array([3.0, 0.5, 4.0, 25.4]))
         assert a == b
 
-    @pytest.mark.parametrize("x", [[3.0, 0.5, 4.0], [3.0, 0.5, 4.0, 12.2, 99.0], 3.0])
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [3.0, 0.5, 4.0],
+            [3.0, 0.5, 4.0, 12.2, 99.0],
+            3.0,
+            [[3.0, 0.5, 4.0], [2.0, 0.5, 4.0]],
+            np.ones((2, 5)),
+            np.ones((1, 2, 4)),
+        ],
+    )
     def test_rejects_x_without_four_coordinates(self, x):
         with pytest.raises(ValueError, match="4 coordinates"):
             make_objective(self.data)(np.asarray(x))
+
+    def test_point_gives_float_and_stack_gives_vector(self):
+        objective = make_objective(self.data)
+        points = np.array([[3.0, 0.5, 4.0, 12.2], [-1.0, 0.2, 2.0, 3.5]])
+        assert type(objective(points[0])) is float
+        assert objective(points).shape == (2,)
+        assert objective(points[:1]).shape == (1,)
+        assert objective.batched is True
 
     def test_row_permutation_pointwise(self):
         shuffled = Dataset(self.data.times[::-1], self.data.counts[::-1])

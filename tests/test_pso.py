@@ -147,6 +147,45 @@ class TestInitSwarm:
         assert np.array_equal(result.best_position, swarm.positions[0])
 
 
+def batched(fn):
+    fn.batched = True
+    return fn
+
+
+class TestBatchedObjective:
+    def test_one_call_per_evaluation_and_same_run_as_row_calls(self):
+        shapes = []
+
+        @batched
+        def linear(x):
+            shapes.append(np.shape(x))
+            return x[..., 0] * 3.0 - x[..., 1]
+
+        dom = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        cfg = SwarmConfig(n_particles=6, m_neighbors=3, n_iterations=8, topology="lbest", seed=4)
+        swarm_run = optimize(linear, dom, cfg)
+        assert shapes == [(6, 2)] * 9
+        row_run = optimize(lambda x: float(linear(x)), dom, cfg)
+        assert np.array_equal(swarm_run.trace, row_run.trace)
+        assert swarm_run.best_position.tobytes() == row_run.best_position.tobytes()
+
+    @pytest.mark.parametrize(
+        "result", [lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)), lambda n: 0.0]
+    )
+    def test_wrong_result_shape_rejected(self, result):
+        objective = batched(lambda x: result(x.shape[0]))
+        config = SwarmConfig(n_particles=4, m_neighbors=2)
+        with pytest.raises(ValueError, match=r"must return shape \(4,\)"):
+            init_swarm(BoxDomain([0.0], [1.0]), config, objective)
+
+    def test_non_finite_values_map_to_inf_per_element(self):
+        objective = batched(lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]))
+        swarm = init_swarm(BoxDomain([0.0], [1.0]), SwarmConfig(seed=5), objective)
+        x = swarm.positions[:, 0]
+        assert 0 < np.count_nonzero(x > 0.5) < x.size
+        assert np.array_equal(swarm.pbest_values, np.where(x > 0.5, np.inf, x))
+
+
 class TestVelocityUpdate:
     def test_stationary_consensus(self):
         rng = np.random.default_rng(0)
