@@ -152,8 +152,12 @@ class Dataset:
     def __len__(self) -> int:
         return self.times.size
 
-    def _phi_terms(self, phi: int) -> float:
-        """Sum over cells of the terms of log NB(y_c; tau, phi) free of tau."""
+    def _phi_terms(self, phi: int | float) -> float:
+        """Sum over cells of the terms of log NB(y_c; tau, phi) free of tau.
+
+        phi is an integer, given as an int or a float; the two share one cache
+        entry (7 == 7.0 and hash alike) and give the same value up to 2**53.
+        """
         cached = self._phi_cache.get(phi)
         if cached is None:
             lg = float(self._mult @ _lgamma_terms(self._distinct, phi))
@@ -278,25 +282,37 @@ def nb_log_pmf(y, tau, phi):
     return np.where(negative, -np.inf, log_p)[()]
 
 
-def _nll_fn(data: Dataset) -> Callable[[np.ndarray, list], np.ndarray]:
+def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Bind the NLL to data: returns nll(ktm, phis) -> (n,) values.
 
     Row i of the (n, 3) float array ktm holds (k, t0, mu) and phis[i] is its
-    integer dispersion.  Rows are evaluated in blocks of
+    integer dispersion, held as a float.  Rows are evaluated in blocks of
     max(1, _BLOCK_CELLS // C) in a (2, rows, C) scratch buffer owned by this
-    binding, so a call allocates no array of the swarm's cells (numpy may
-    buffer a broadcast operand, up to one block), and must not run on two
-    threads at once.  Every per-cell step acts on a whole block.  The two sums
-    over cells are taken row by row with np.vecdot, which runs numpy's 1-d
-    dot (BLAS ddot) on each row, so a row's value does not depend on the
-    block it lands in and equals a per-row ndarray.dot bit for bit; a matrix
-    product (A @ y, einsum) sums in another order and changes the last bit.
+    binding, so a call allocates no array of the swarm's cells and must not
+    run on two threads at once.  Every per-cell step acts on a whole block.
+    A block of several rows runs on operands of its own shape: (rows, C)
+    copies of t and y made once, and a (4, rows, C) block of the rows'
+    (-k, t0, 2*mu, phi) filled once per block.  A ufunc given a (rows, 1) or
+    (C,) operand would have numpy build a broadcasting iterator and buffer
+    the whole block, on each call.  Together the copies are at most
+    6 * _BLOCK_CELLS floats (192 KB).  A block of one row runs on 1-d views
+    with scalar operands, which numpy evaluates without that iterator.  The
+    two sums over cells are taken row by row with np.vecdot, which runs
+    numpy's 1-d dot (BLAS ddot) on each row, so a row's value does not
+    depend on the block it lands in and equals a per-row ndarray.dot bit for
+    bit; a matrix product (A @ y, einsum) sums in another order and changes
+    the last bit.
     """
-    t, span, y, phi_terms = data.times, data._span, data._y, data._phi_terms
+    t, span, y = data.times, data._span, data._y
+    phi_terms, phi_cache = data._phi_terms, data._phi_cache
     rows = max(1, _BLOCK_CELLS // len(data))
     work = _aligned_empty((2, rows, len(data)))
+    if rows > 1:
+        full_ty = _aligned_empty((2, rows, len(data)))
+        full_ty[0], full_ty[1] = t, y
+        full_par = _aligned_empty((4, rows, len(data)))
 
-    def nll(ktm: np.ndarray, phis: list) -> np.ndarray:
+    def nll(ktm: np.ndarray, phis: np.ndarray) -> np.ndarray:
         n = len(phis)
         if rows == 1:
             # testing which rows need the guards saves two passes over C cells
@@ -305,8 +321,9 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, list], np.ndarray]:
             # guarding every cell of a block, which is exact, costs less than
             # the test
             guards = itertools.repeat((True, True))
-        par = ktm.T * _PAR_SCALE  # rows -k, t0, 2*mu
-        phi = np.array(phis, dtype=float)
+        par = np.empty((4, n))  # rows -k, t0, 2*mu, phi
+        np.multiply(ktm.T, _PAR_SCALE, par[:3])
+        par[3] = phis
         sums = np.empty((2, n))
         for r0, (clamp, floor) in zip(range(0, n, rows), guards):
             r1 = r0 + rows
@@ -314,18 +331,24 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, list], np.ndarray]:
             # numpy runs 1-d rows with scalar operands without its broadcasting
             # iterator, which saves about 4% at C = 20000
             if len(block[0]) == 1:
-                (tau, aux), (neg_k, t_mid, two_mu), phi_r = block[:, 0], par[:, r0], phi[r0]
+                (tau, aux), (neg_k, t_mid, two_mu, phi_r) = block[:, 0], par[:, r0]
+                t_r, y_r = t, y
             else:
-                (tau, aux), (neg_k, t_mid, two_mu) = block, par[:, r0:r1, None]
-                phi_r = phi[r0:r1, None]
-            _tau(t, neg_k, t_mid, two_mu, clamp, floor, tau)
+                (tau, aux), (t_r, y_r) = block, full_ty[:, : n - r0]
+                np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
+                neg_k, t_mid, two_mu, phi_r = full_par[:, : n - r0]
+            _tau(t_r, neg_k, t_mid, two_mu, clamp, floor, tau)
             np.log(tau, aux)
             np.vecdot(y, block[1], out=sums[0, r0:r1])
             np.add(tau, phi_r, tau)
             np.log(tau, tau)
-            np.add(y, phi_r, aux)
+            np.add(y_r, phi_r, aux)
             np.vecdot(block[1], block[0], out=sums[1, r0:r1])
-        values = np.fromiter(map(phi_terms, phis), float, n)
+        keys = phis.tolist()
+        try:
+            values = np.fromiter(map(phi_cache.__getitem__, keys), float, n)
+        except KeyError:  # fills the missing entries; float and int keys are one entry
+            values = np.fromiter(map(phi_terms, keys), float, n)
         values += sums[0]
         values -= sums[1]
         return np.negative(values, values)
@@ -343,7 +366,7 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
         sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
     """
     ktm = np.array([[params.k_g, params.t_g, params.mu_g]])
-    return float(_nll_fn(data)(ktm, [params.phi_g])[0])
+    return float(_nll_fn(data)(ktm, np.array([float(params.phi_g)]))[0])
 
 
 def build_domain(
@@ -356,7 +379,9 @@ def build_domain(
     The t box is the observed pseudotime range and the mu box is half the
     observed count range; k and phi bounds are caller-supplied knobs.  A
     zero minimum count would force mu to 0, so the mu lower bound is
-    guarded at MU_FLOOR.
+    guarded at MU_FLOOR.  phi_max is at most MAX_COUNT (2**53), the largest
+    integer a float holds exactly, since the box and the likelihood hold phi
+    as a float.
     """
     k_lo, k_hi = float(k_bounds[0]), float(k_bounds[1])
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
@@ -365,6 +390,8 @@ def build_domain(
         raise ValueError("k_bounds must satisfy lower < upper")
     if phi_max < 1:
         raise ValueError("phi_max must be >= 1")
+    if phi_max > MAX_COUNT:  # before float(phi_max), which fails past 1.8e308
+        raise ValueError(f"phi_max must be at most 2**53 = {MAX_COUNT}")
     t_lo, t_hi = data._span
     y_min = int(data.counts.min())
     y_max = int(data.counts.max())
@@ -403,13 +430,14 @@ def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
 
     x is one point, shape (4,), which gives a float, or a stack of points,
     shape (n, 4), which gives their (n,) values; any other shape raises
-    ValueError, and so does a point with mu <= 0.  Every point's value is
-    the same bit for bit either way, and equal to
-    neg_log_likelihood(decode_position(x), data); permutation of the dataset
-    rows leaves it unchanged pointwise.  The objective's ``batched``
-    attribute is True, which tells pso to evaluate a whole swarm in one
-    call.  Each objective owns the scratch buffers it evaluates in, so a
-    call allocates no per-cell array; build one objective per thread.
+    ValueError, and so does a point with mu <= 0 or a phi coordinate that
+    is not finite (nan or +-inf).  Every point's value is the same bit for
+    bit either way, and equal to neg_log_likelihood(decode_position(x),
+    data); permutation of the dataset rows leaves it unchanged pointwise.
+    The objective's ``batched`` attribute is True, which tells pso to
+    evaluate a whole swarm in one call.  Each objective owns the scratch
+    buffers it evaluates in, so a call allocates no per-cell array; build
+    one objective per thread.
     """
     nll = _nll_fn(data)
 
@@ -423,7 +451,11 @@ def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
         points = x.reshape(-1, 4)
         if (points[:, 2] <= 0).any():
             raise ValueError("mu_g must be positive")
-        values = nll(points[:, :3], list(map(_round_phi, points[:, 3].tolist())))
+        if not np.isfinite(points[:, 3]).all():
+            raise ValueError("the phi coordinate must be finite")
+        # _round_phi as a vector, equal to it for finite input
+        phis = np.maximum(np.floor(points[:, 3] + 0.5), _ONE)
+        values = nll(points[:, :3], phis)
         return values if x.ndim == 2 else float(values[0])
 
     objective.batched = True

@@ -23,7 +23,9 @@ then set to +inf.
 
 Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
-so every evaluated point is feasible.
+so every evaluated point is feasible.  That holds also where the velocity
+update overflows, on a box whose span is near the float maximum: a
+coordinate that moves to +-inf or nan is absorbed at a bound.
 """
 
 from __future__ import annotations
@@ -215,12 +217,15 @@ def position_update(x, v_new, domain: BoxDomain):
     """Move to x + v_new with an absorbing boundary.
 
     Clamped coordinates land exactly on the bound and have their velocity
-    component zeroed.  Returns (position, velocity).
+    component zeroed.  A coordinate whose candidate is nan, as when the
+    velocity update overflows to inf - inf on a box whose span is near the
+    float maximum, counts as outside and lands on its lower bound; +-inf land
+    on the bound they pass.  Returns (position, velocity).
     """
     candidate = x + v_new
-    out = (candidate < domain.lower) | (candidate > domain.upper)
-    position = np.minimum(np.maximum(candidate, domain.lower), domain.upper)
-    velocity = np.where(out, 0.0, v_new)
+    inside = (candidate >= domain.lower) & (candidate <= domain.upper)  # nan fails
+    position = np.fmin(np.fmax(candidate, domain.lower), domain.upper)  # nan -> lower
+    velocity = np.where(inside, v_new, 0.0)
     return position, velocity
 
 
@@ -232,6 +237,15 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     between current positions (particle i itself has distance 0 and is
     always included); distance ties and value ties both break toward the
     lower particle index.
+
+    Row i's neighborhood is first taken as every particle whose distance is
+    not greater than row i's m-th smallest distance.  That set holds at
+    least m particles (a nan distance, from a particle at inf, is never
+    greater), and it is exactly the m that a stable ranking puts first
+    unless the row ties at its m-th distance or holds a nan.  So when every
+    row has exactly m members, these sets are the neighborhoods; otherwise
+    every row is ranked by a stable argsort, which breaks the tie toward the
+    lower index.
     """
     n = swarm.n_particles
     if not 1 <= m <= n:
@@ -247,11 +261,18 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     for plane in squared[1:]:
         distances += plane
     np.sqrt(distances, distances)
+    # not d <= kth: a row whose m-th distance is nan would get no member, and
+    # another row's surplus could hide that from the count
+    kth = np.sort(distances, axis=1)[:, m - 1 : m]
+    members = np.nonzero(~(distances > kth))[1]
+    if members.size == n * m:
+        hoods = members.reshape(n, m)
+    else:
+        hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
     # ascending index order inside each neighborhood makes argmin's
     # first-minimum rule break value ties toward the lower index
-    hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
-    best = hoods[np.arange(n), np.argmin(swarm.pbest_values[hoods], axis=1)]
-    return swarm.pbest_positions[best], swarm.pbest_values[best]
+    best = hoods[np.arange(n), swarm.pbest_values.take(hoods).argmin(axis=1)]
+    return swarm.pbest_positions.take(best, axis=0), swarm.pbest_values.take(best)
 
 
 def step(

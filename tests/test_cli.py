@@ -141,12 +141,21 @@ class TestFit:
             # a span of 2e308 is inf, and drawing the swarm raised OverflowError
             (["-1e308,1", "1e308,5"], [], "domain span"),
             (["0.1,1", "0.5,5"], ["--k-min=-1e308", "--k-max=1e308"], "domain span"),
+            # a huge phi_max ended in an OverflowError traceback from the phi cache
+            (["0.1,1", "0.5,5"], [f"--phi-max={10**308}"], "phi_max must be at most 2**53"),
+            (["0.1,1", "0.5,5"], [f"--phi-max={10**400}"], "phi_max must be at most 2**53"),
+            (["0.1,1", "0.5,5"], [{"phi_max": 10**308}], "phi_max must be at most 2**53"),
+            (["0.1,1", "0.5,5"], [{"phi_max": 10**400}], "phi_max must be at most 2**53"),
         ],
     )
     def test_out_of_range_input_rejected(self, tmp_path, capsys, rows, flags, diagnostic):
         data = tmp_path / "data.csv"
         data.write_text("t,y\n" + "\n".join(rows) + "\n")
         argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json"]
+        if flags and isinstance(flags[0], dict):  # given in --config
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(flags[0]))
+            flags = ["--config", cfg]
         assert run(argv + TINY + flags) == 1
         assert capsys.readouterr().err.startswith(f"swarmfit: error: {diagnostic}")
 

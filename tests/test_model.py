@@ -532,6 +532,43 @@ class TestObjectiveProperties:
         with pytest.raises(ValueError, match="mu_g must be positive"):
             make_objective(data)(np.array(points))
 
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_objective_rejects_non_finite_phi(self, phi):
+        data = generate_dataset(get_setting(4), 1)
+        points = np.tile(quiet_domain(data).upper, (3, 1))
+        points[1, 3] = phi
+        with pytest.raises(ValueError, match="phi coordinate must be finite"):
+            make_objective(data)(points[1])
+        with pytest.raises(ValueError, match="phi coordinate must be finite"):
+            make_objective(data)(points)
+
+    @PROPERTY
+    @given(
+        setting_id=st.integers(1, 6),
+        phis=st.lists(
+            st.floats(-1e3, 1e3) | st.floats(0.0, 1.0) | st.integers(-3, 300).map(lambda k: k + 0.5),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_phi_rounding_matches_decode_position(self, setting_id, phis):
+        # the objective rounds the dispersion coordinate as a vector; below
+        # 0.5 that gives phi <= 0, which is lifted to 1 as in decode_position
+        data = generate_dataset(get_setting(setting_id), 1)
+        domain = quiet_domain(data)
+        points = np.tile((domain.lower + domain.upper) / 2, (len(phis), 1))
+        points[:, 3] = phis
+        expected = [neg_log_likelihood(decode_position(x), data) for x in points]
+        assert make_objective(data)(points).tolist() == expected
+
+    @pytest.mark.parametrize("phi", [1, 7, 200, 2**40 + 1, 2**53])
+    def test_phi_terms_shared_by_int_and_float_keys(self, phi):
+        data = generate_dataset(get_setting(1), 1)
+        fresh = generate_dataset(get_setting(1), 1)
+        assert data._phi_terms(phi) == fresh._phi_terms(float(phi))
+        assert data._phi_terms(float(phi)) == data._phi_terms(phi)
+        assert len(data._phi_cache) == 1
+
 
 class TestObjectiveBuffers:
     wide = Dataset(np.linspace(0.0, 1.0, 20_000), np.arange(20_000) % 37)
@@ -551,10 +588,11 @@ class TestObjectiveBuffers:
         assert peak < 8 * len(self.wide)
 
     def test_swarm_call_allocates_no_swarm_by_cells_array(self):
-        # C = 100 gives 40 rows per block.  numpy's iterator buffers a
-        # broadcast operand, up to one block of cells, so at n = 40 (one block)
-        # that buffer alone holds n*C floats; at n = 400 a per-swarm array
-        # of cells would be ten times larger than anything the call allocates
+        # C = 100 gives 40 rows per block.  Every per-cell ufunc of a block
+        # runs on operands of the block's shape, so numpy buffers none of
+        # them: at n = 40 (one block) a call allocates under half a block of
+        # cells; at n = 400 a per-swarm array of cells would be ten times
+        # larger than anything the call allocates
         data = generate_dataset(get_setting(6), 1)
         objective = make_objective(data)
         domain = quiet_domain(data)
@@ -571,7 +609,7 @@ class TestObjectiveBuffers:
             finally:
                 tracemalloc.stop()
         block = 8 * (_BLOCK_CELLS // len(data)) * len(data)
-        assert peaks[0] < 3 * block
+        assert peaks[0] < block / 2
         assert peaks[1] < 8 * 400 * len(data) / 2
 
     def test_one_objective_per_thread(self):

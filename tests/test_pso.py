@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -240,6 +241,56 @@ class TestPositionUpdate:
         assert np.array_equal(pos, [2.5, 5.0])
         assert np.array_equal(vel, [1.5, 0.0])
 
+    def test_non_finite_candidate_absorbed(self):
+        # inf - inf in an overflowing velocity update gives a nan velocity
+        dom = BoxDomain([0.0, 0.0, 0.0], [5.0, 5.0, 5.0])
+        v_new = np.array([math.nan, math.inf, -math.inf])
+        pos, vel = position_update(np.array([1.0, 1.0, 1.0]), v_new, dom)
+        assert np.array_equal(pos, [0.0, 5.0, 0.0])
+        assert np.array_equal(vel, [0.0, 0.0, 0.0])
+
+
+@st.composite
+def huge_boxes(draw):
+    """(domain, config): d in 1..4 with spans up to 1e308 and w, c1, c2 in
+    [0, 2], where the velocity update can overflow to inf - inf = nan.  The
+    largest span and coefficient are drawn often: the overflow needs both."""
+    d = draw(st.integers(1, 4))
+    lower = draw(st.lists(st.floats(-1e307, 1e307), min_size=d, max_size=d))
+    spans = draw(st.lists(st.just(1e308) | st.floats(0.0, 1e308), min_size=d, max_size=d))
+    n = draw(st.integers(1, 20))
+    coefficient = st.just(2.0) | st.floats(0.0, 2.0)
+    config = SwarmConfig(
+        w=draw(coefficient),
+        c1=draw(coefficient),
+        c2=draw(coefficient),
+        n_particles=n,
+        topology=draw(st.sampled_from(list(Topology))),
+        m_neighbors=draw(st.integers(1, n)),
+        n_iterations=50,
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return BoxDomain(lower, [lo + s for lo, s in zip(lower, spans)]), config
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=huge_boxes())
+def test_every_evaluated_position_is_finite_and_in_the_box(case):
+    domain, config = case
+    seen = []
+
+    def scattered(x):
+        # personal bests that jump across the box keep particles swinging
+        # from face to face, where the velocity overflows
+        seen.append(x.copy())
+        return float(zlib.crc32(x.tobytes()) % 1000)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow this is about
+        optimize(scattered, domain, config)
+    seen = np.array(seen)
+    assert np.isfinite(seen).all()
+    assert (seen >= domain.lower).all() and (seen <= domain.upper).all()
+
 
 def gbest_reference_used(swarm):
     """Index of the personal best that one gbest step pulled every particle
@@ -291,14 +342,17 @@ def norm_neighborhood_best(swarm, m):
 def lbest_swarms(draw):
     """(swarm, m) with n in 1..50, d in 1..7 and m in 1..n drawn uniformly
     (hypothesis would favour small n and m at 1 or n).  Positions are real, on a
-    small integer grid (exact distance ties), real with duplicated rows, or
+    small integer grid (exact distance ties), real with duplicated rows,
     coordinate permutations of one real row (distances equal in exact
-    arithmetic that rounding may split); pbest values may repeat."""
-    kind = draw(st.sampled_from(["real", "grid", "duplicated", "permuted"]))
+    arithmetic that rounding may split), or on a grid with +-inf (inf and nan
+    distances); pbest values may repeat."""
+    kind = draw(st.sampled_from(["real", "grid", "duplicated", "permuted", "infinite"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n, d = int(rng.integers(1, 51)), int(rng.integers(1, 8))
     if kind == "grid":
         positions = rng.integers(-2, 3, size=(n, d)).astype(float)
+    elif kind == "infinite":
+        positions = rng.choice([-math.inf, 0.0, 1.0, math.inf], size=(n, d))
     elif kind == "permuted":
         row = rng.normal(size=d)
         positions = np.array([rng.permutation(row) for _ in range(n)])
@@ -369,8 +423,36 @@ class TestSelectNeighborhoodBest:
     @given(case=lbest_swarms())
     def test_matches_norm_reference(self, case):
         swarm, m = case
-        pos, val = select_neighborhood_best(swarm, m)
-        ref_pos, ref_val = norm_neighborhood_best(swarm, m)
+        with np.errstate(invalid="ignore"):  # inf - inf on the "infinite" kind
+            pos, val = select_neighborhood_best(swarm, m)
+            ref_pos, ref_val = norm_neighborhood_best(swarm, m)
+        assert pos.tobytes() == ref_pos.tobytes()
+        assert val.tobytes() == ref_val.tobytes()
+
+    def test_stable_argsort_runs_only_on_a_tie_at_the_mth_distance(self, monkeypatch):
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(1) or argsort(*a, **k))
+        rng = np.random.default_rng(6)
+        select_neighborhood_best(make_swarm(rng.normal(size=(12, 3)), rng.random(12)), 4)
+        assert calls == []
+        # on a unit grid the two neighbors of an inner point tie at m = 2
+        select_neighborhood_best(make_swarm(np.arange(6.0), rng.random(6)), 2)
+        assert calls == [1]
+
+    def test_nan_mth_distance(self):
+        # a particle at inf is at nan distance from itself and from particles
+        # sharing its infinite coordinates; row 0 is all nan, so no distance
+        # is at most its m-th, while row 3 has two at inf
+        inf = math.inf
+        swarm = make_swarm(
+            [[-inf, -inf], [-inf, 0.0], [-inf, 0.0], [1.0, -inf]],
+            [3.0, 2.0, 1.0, 0.0],
+            pbest_positions=np.arange(8.0).reshape(4, 2),
+        )
+        with np.errstate(invalid="ignore"):
+            pos, val = select_neighborhood_best(swarm, 1)
+            ref_pos, ref_val = norm_neighborhood_best(swarm, 1)
         assert pos.tobytes() == ref_pos.tobytes()
         assert val.tobytes() == ref_val.tobytes()
 
