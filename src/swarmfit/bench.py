@@ -14,7 +14,7 @@ per-restart detail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
@@ -213,12 +213,7 @@ def summary_to_dict(s: RunSummary) -> dict:
         "mean": s.mean,
         "std": s.std,
         "median": s.median,
-        "best_params": {
-            "k_g": s.best_params.k_g,
-            "t_g": s.best_params.t_g,
-            "mu_g": s.best_params.mu_g,
-            "phi_g": s.best_params.phi_g,
-        },
+        "best_params": asdict(s.best_params),
         "per_restart": [
             {"value": float(v), "position": [float(c) for c in pos]}
             for v, pos in s.per_restart
@@ -227,21 +222,12 @@ def summary_to_dict(s: RunSummary) -> dict:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "restarts": cfg.restarts,
-        "swarm": {
-            "w": cfg.swarm.w,
-            "c1": cfg.swarm.c1,
-            "c2": cfg.swarm.c2,
-            "n_particles": cfg.swarm.n_particles,
-            "m_neighbors": cfg.swarm.m_neighbors,
-            "n_iterations": cfg.swarm.n_iterations,
-        },
-        "k_bounds": list(cfg.k_bounds),
-        "phi_max": cfg.phi_max,
-        "master_seed": cfg.master_seed,
-        "data_seed": cfg.data_seed,
-    }
+    """cfg as a JSON document, without the swarm topology and seed that each
+    restart sets for itself."""
+    doc = asdict(cfg)
+    del doc["swarm"]["topology"], doc["swarm"]["seed"]
+    doc["k_bounds"] = list(cfg.k_bounds)
+    return doc
 
 
 def write_bench_outputs(out_dir, cfg: ExperimentConfig, settings) -> list[RunSummary]:

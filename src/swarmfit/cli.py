@@ -1,10 +1,15 @@
 """Command-line interface: simulate, fit, bench.
 
-Every flag may also be supplied through ``--config <path.json>`` (keys are
-the flag names, hyphens or underscores); explicit flags override the file.
-Tuning options left unset keep the library defaults of ``SwarmConfig`` and
-``ExperimentConfig``.  Exits 0 on success and 1 with a diagnostic on
-validation failure, including a config value of the wrong JSON type.
+Each command is declared once, in ``_COMMANDS``: its help, its options (key
+-> type and help) and the keys it requires.  The parser, the type check of
+``--config`` values, the unknown-key check and the required-option check all
+read that table.  An option's flag is its key with ``-`` for ``_``, and
+every flag may also be supplied through ``--config <path.json>`` (keys are
+the flag names, hyphens or underscores; ``null`` leaves a key unset);
+explicit flags override the file.  Tuning options left unset keep the
+library defaults of ``SwarmConfig`` and ``ExperimentConfig``.  Exits 0 on
+success and 1 with a diagnostic on validation failure, including a config
+value of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -25,31 +30,51 @@ from .model import DEFAULT_K_BOUNDS, load_dataset, save_dataset
 from .pso import SwarmConfig, Topology
 from .simulate import generate_dataset, get_setting
 
-_TUNING_FLAGS = [
-    ("--w", float, "inertia weight"),
-    ("--c1", float, "cognitive coefficient"),
-    ("--c2", float, "social coefficient"),
-    ("--particles", int, "swarm size"),
-    ("--iters", int, "iterations per restart"),
-    ("--m", int, "neighborhood size (lbest)"),
-    ("--restarts", int, "independent restarts"),
-    ("--k-min", float, "lower bound on activation strength"),
-    ("--k-max", float, "upper bound on activation strength"),
-    ("--phi-max", int, "upper bound on dispersion"),
-]
-_TUNING_KEYS = {flag[2:].replace("-", "_") for flag, _, _ in _TUNING_FLAGS}
-
-# Option key -> type of its config-file value; "settings" is parsed by _parse_settings.
-_OPTION_TYPES = {
-    "setting": int, "seed": int, "data_seed": int,
-    "data": str, "out": str, "out_dir": str, "topology": str,
-    **{flag[2:].replace("-", "_"): ftype for flag, ftype, _ in _TUNING_FLAGS},
+# Option key -> (type, help), shared by fit and bench.
+_TUNING = {
+    "w": (float, "inertia weight"),
+    "c1": (float, "cognitive coefficient"),
+    "c2": (float, "social coefficient"),
+    "particles": (int, "swarm size"),
+    "iters": (int, "iterations per restart"),
+    "m": (int, "neighborhood size (lbest)"),
+    "restarts": (int, "independent restarts"),
+    "k_min": (float, "lower bound on activation strength"),
+    "k_max": (float, "upper bound on activation strength"),
+    "phi_max": (int, "upper bound on dispersion"),
 }
-# Option key -> the SwarmConfig / ExperimentConfig field it sets.
-_SWARM_FIELDS = {"w": "w", "c1": "c1", "c2": "c2",
-                 "particles": "n_particles", "iters": "n_iterations", "m": "m_neighbors"}
-_EXPERIMENT_FIELDS = {"restarts": "restarts", "phi_max": "phi_max",
-                      "seed": "master_seed", "data_seed": "data_seed"}
+# Command -> (help, {option key: (type, help)}, required keys).  A type of
+# None takes the value as given: "settings" is a string or a JSON list, which
+# _parse_settings reads.
+_COMMANDS = {
+    "simulate": ("generate one synthetic dataset", {
+        "setting": (int, "scenario id, 1..6"),
+        "seed": (int, "dataset seed (u64)"),
+        "out": (str, "output CSV path"),
+    }, ("setting", "seed", "out")),
+    "fit": ("multi-restart fit of one dataset", {
+        "data": (str, "input t,y CSV path"),
+        "topology": (str, None),
+        **_TUNING,
+        "seed": (int, "master seed for restart derivation"),
+        "out": (str, "output JSON path"),
+    }, ("data", "topology", "out")),
+    "bench": ("full benchmark over built-in settings", {
+        "settings": (None, "comma-separated ids or 'all'"),
+        "data_seed": (int, "dataset seed (u64)"),
+        "seed": (int, "master seed for restart derivation"),
+        "out_dir": (str, "output directory"),
+        **_TUNING,
+    }, ("settings", "data_seed", "seed", "out_dir")),
+}
+# Config class -> {option key: the field of that class it sets}; k_min and
+# k_max set ExperimentConfig.k_bounds together.
+_FIELDS = {
+    SwarmConfig: {"w": "w", "c1": "c1", "c2": "c2", "particles": "n_particles",
+                  "iters": "n_iterations", "m": "m_neighbors"},
+    ExperimentConfig: {"restarts": "restarts", "phi_max": "phi_max",
+                       "seed": "master_seed", "data_seed": "data_seed"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,31 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="PSO fitting of the sigmoidal negative-binomial pseudotime model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="generate one synthetic dataset")
-    p_sim.add_argument("--setting", type=int, help="scenario id, 1..6")
-    p_sim.add_argument("--seed", type=int, help="dataset seed (u64)")
-    p_sim.add_argument("--out", help="output CSV path")
-    p_sim.add_argument("--config", help="JSON file supplying any flag")
-
-    p_fit = sub.add_parser("fit", help="multi-restart fit of one dataset")
-    p_fit.add_argument("--data", help="input t,y CSV path")
-    p_fit.add_argument("--topology", choices=["gbest", "lbest"])
-    for flag, ftype, help_text in _TUNING_FLAGS:
-        p_fit.add_argument(flag, type=ftype, help=help_text)
-    p_fit.add_argument("--seed", type=int, help="master seed for restart derivation")
-    p_fit.add_argument("--out", help="output JSON path")
-    p_fit.add_argument("--config", help="JSON file supplying any flag")
-
-    p_bench = sub.add_parser("bench", help="full benchmark over built-in settings")
-    p_bench.add_argument("--settings", help="comma-separated ids or 'all'")
-    p_bench.add_argument("--data-seed", type=int, help="dataset seed (u64)")
-    p_bench.add_argument("--seed", type=int, help="master seed for restart derivation")
-    p_bench.add_argument("--out-dir", help="output directory")
-    for flag, ftype, help_text in _TUNING_FLAGS:
-        p_bench.add_argument(flag, type=ftype, help=help_text)
-    p_bench.add_argument("--config", help="JSON file supplying any flag")
-
+    for command, (help_text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (kind, option_help) in options.items():
+            # choices, not a Topology type, keep argparse's "invalid choice" usage error
+            choices = [t.value for t in Topology] if key == "topology" else None
+            p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices,
+                           help=option_help)
+        p.add_argument("--config", help="JSON file supplying any flag")
     return parser
 
 
@@ -90,10 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
-def _coerce(source: str, key: str, value):
+def _coerce(source: str, key: str, value, kind):
     """Convert a config-file value to its option type, or raise ValueError naming the key."""
-    kind = _OPTION_TYPES.get(key)
-    if value is None or kind is None:
+    if kind is None:
         return value
     if isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
         try:
@@ -103,8 +110,10 @@ def _coerce(source: str, key: str, value):
     raise ValueError(f"{source}: config key {key!r} must be {kind.__name__}, got {value!r}")
 
 
-def _merge_options(args: argparse.Namespace, known: set[str]) -> dict:
-    """Merge config-file values and explicit flags (flags win)."""
+def _options(args: argparse.Namespace) -> dict:
+    """The command's options from the config file and explicit flags (flags win);
+    ValueError for an unknown or mistyped config key or a missing required option."""
+    _, options, required = _COMMANDS[args.command]
     merged: dict = {}
     if args.config is not None:
         raw = json.loads(Path(args.config).read_text())
@@ -112,32 +121,31 @@ def _merge_options(args: argparse.Namespace, known: set[str]) -> dict:
             raise ValueError(f"{args.config}: config must be a JSON object")
         for key, value in raw.items():
             norm = key.replace("-", "_")
-            if norm not in known:
+            if norm not in options:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            merged[norm] = _coerce(args.config, norm, value)
-    for key in known:
-        value = getattr(args, key, None)
+            if value is not None:  # null leaves the key unset
+                merged[norm] = _coerce(args.config, norm, value, options[norm][0])
+    for key in options:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
-    return merged
-
-
-def _require(options: dict, *keys: str) -> None:
-    missing = [k for k in keys if options.get(k) is None]
+    missing = [k for k in required if k not in merged]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ValueError(f"missing required option(s): {flags}")
+    return merged
 
 
 def _experiment_config(options: dict) -> ExperimentConfig:
     """Config from the options that are set; the others keep the library defaults."""
-    given = {k: v for k, v in options.items() if v is not None}
-    swarm = SwarmConfig(**{f: given[k] for k, f in _SWARM_FIELDS.items() if k in given})
-    fields = {f: given[k] for k, f in _EXPERIMENT_FIELDS.items() if k in given}
-    if "k_min" in given or "k_max" in given:
+    fields = {cls: {name: options[key] for key, name in keys.items() if key in options}
+              for cls, keys in _FIELDS.items()}
+    if "k_min" in options or "k_max" in options:
         k_min, k_max = DEFAULT_K_BOUNDS
-        fields["k_bounds"] = (given.get("k_min", k_min), given.get("k_max", k_max))
-    return ExperimentConfig(swarm=swarm, **fields)
+        fields[ExperimentConfig]["k_bounds"] = (
+            options.get("k_min", k_min), options.get("k_max", k_max)
+        )
+    return ExperimentConfig(swarm=SwarmConfig(**fields[SwarmConfig]), **fields[ExperimentConfig])
 
 
 def _parse_settings(raw: str | list) -> list[int]:
@@ -163,31 +171,23 @@ def _parse_settings(raw: str | list) -> list[int]:
     return unique
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    options = _merge_options(args, {"setting", "seed", "out"})
-    _require(options, "setting", "seed", "out")
+def _cmd_simulate(options: dict) -> int:
     setting = get_setting(options["setting"])
     data = generate_dataset(setting, options["seed"])
     save_dataset(data, options["out"])
     return 0
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
-    known = {"data", "topology", "seed", "out"} | _TUNING_KEYS
-    options = _merge_options(args, known)
-    _require(options, "data", "topology", "out")
+def _cmd_fit(options: dict) -> int:
     data = load_dataset(options["data"])
     cfg = _experiment_config(options)
-    summary = run_restarts(data, cfg, Topology(options["topology"]))
+    summary = run_restarts(data, cfg, options["topology"])
     doc = {"config": config_to_dict(cfg), "summary": summary_to_dict(summary)}
     Path(options["out"]).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    known = {"settings", "data_seed", "seed", "out_dir"} | _TUNING_KEYS
-    options = _merge_options(args, known)
-    _require(options, "settings", "data_seed", "seed", "out_dir")
+def _cmd_bench(options: dict) -> int:
     settings = _parse_settings(options["settings"])
     cfg = _experiment_config(options)
     write_bench_outputs(options["out_dir"], cfg, settings)
@@ -195,11 +195,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "fit": _cmd_fit, "bench": _cmd_bench}
     try:
-        return handlers[args.command](args)
+        return handlers[args.command](_options(args))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"swarmfit: error: {exc}", file=sys.stderr)
         return 1

@@ -223,10 +223,8 @@ def sigmoid_mean(t, params: NbParams):
     sigmoid saturates toward 0.
     """
     t = np.asarray(t, dtype=float)
-    span = (np.min(t, initial=np.inf), np.max(t, initial=-np.inf))  # t may be empty
-    k, t0, mu = params.k_g, params.t_g, params.mu_g
-    clamp, floor = _guards(span, k, t0, mu)
-    return _tau(t, -k, t0, 2.0 * mu, clamp, floor, np.empty_like(t))[()]
+    # always clamped and floored, which is exact where neither can act
+    return _tau(t, -params.k_g, params.t_g, 2.0 * params.mu_g, True, True, np.empty_like(t))[()]
 
 
 def _lgamma_scalar(v: float) -> float:
@@ -417,12 +415,15 @@ def decode_position(x) -> NbParams:
     makes the objective piecewise constant in that coordinate.
     """
     x = np.asarray(x, dtype=float)
-    return NbParams(float(x[0]), float(x[1]), float(x[2]), _round_phi(float(x[3])))
+    if math.isinf(x[3]):  # for a nan, int() below raises ValueError
+        raise OverflowError(f"cannot round an infinite phi coordinate ({x[3]})")
+    return NbParams(float(x[0]), float(x[1]), float(x[2]), int(_round_phi(x[3])))
 
 
-def _round_phi(v: float) -> int:
-    """Dispersion coordinate -> integer phi: round half up, clamp below at 1."""
-    return max(1, math.floor(v + 0.5))
+def _round_phi(v):
+    """Dispersion coordinate(s) -> integer phi, held as a float: round half up,
+    clamp below at 1.  A nan stays nan."""
+    return np.maximum(np.floor(v + 0.5), _ONE)
 
 
 def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
@@ -453,9 +454,7 @@ def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
             raise ValueError("mu_g must be positive")
         if not np.isfinite(points[:, 3]).all():
             raise ValueError("the phi coordinate must be finite")
-        # _round_phi as a vector, equal to it for finite input
-        phis = np.maximum(np.floor(points[:, 3] + 0.5), _ONE)
-        values = nll(points[:, :3], phis)
+        values = nll(points[:, :3], _round_phi(points[:, 3]))
         return values if x.ndim == 2 else float(values[0])
 
     objective.batched = True

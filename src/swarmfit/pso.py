@@ -92,7 +92,7 @@ class SwarmConfig:
 
     ``w``, ``c1`` and ``c2`` are the inertia, cognitive and social
     coefficients.  They must be finite; values outside [0, 2] are unusual
-    and trigger a warning rather than an error.  ``m_neighbors`` is only
+    and trigger a warning at construction rather than an error.  ``m_neighbors`` is only
     consulted by the local-best topology.  The random coefficients r1, r2
     are drawn once per particle and dimension.
     """
@@ -109,6 +109,12 @@ class SwarmConfig:
     def __post_init__(self):
         self.topology = Topology(self.topology)
         self.validate()
+        for name in ("w", "c1", "c2"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 2.0:
+                # one warning location, which Python's default filter
+                # reports once per process however many configs are built
+                warnings.warn(f"{name}={value} is outside the usual [0, 2] range")
 
     def validate(self) -> None:
         if self.n_particles < 1:
@@ -125,11 +131,6 @@ class SwarmConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if not 0.0 <= value <= 2.0:
-                warnings.warn(
-                    f"{name}={value} is outside the usual [0, 2] range",
-                    stacklevel=2,
-                )
 
 
 @dataclass(eq=False)

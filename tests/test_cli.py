@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -27,16 +28,106 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def test_import_loads_no_scipy():
+def run_python(*args):
+    """A fresh interpreter that imports this swarmfit, with the default warning filters."""
     src = str(Path(swarmfit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONWARNINGS": "default",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *map(str, args)], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_import_loads_no_scipy():
     code = ("import sys, swarmfit, swarmfit.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_unusual_coefficient_warns_once_per_run(tmp_path):
+    # optimize validates the config again; that check must not warn again
+    data = tmp_path / "data.csv"
+    data.write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+    proc = run_python("-m", "swarmfit.cli", "fit", "--data", data, "--topology", "gbest",
+                      "--out", tmp_path / "f.json", "--w", "2.5", "--restarts", "2",
+                      "--iters", "2", "--particles", "2", "--m", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.count("w=2.5 is outside the usual [0, 2] range") == 1, proc.stderr
+
+
+# The CLI's surface, (command, flag, value type), written out apart from the
+# CLI's own option table.  "settings" is a list of ids: a string or a JSON list.
+_TUNING_SURFACE = [
+    ("--w", float), ("--c1", float), ("--c2", float), ("--particles", int),
+    ("--iters", int), ("--m", int), ("--restarts", int), ("--k-min", float),
+    ("--k-max", float), ("--phi-max", int),
+]
+SURFACE = [
+    *[("simulate", f, t) for f, t in [("--setting", int), ("--seed", int), ("--out", str)]],
+    *[("fit", f, t) for f, t in [("--data", str), ("--topology", str), *_TUNING_SURFACE,
+                                  ("--seed", int), ("--out", str)]],
+    *[("bench", f, t) for f, t in [("--settings", "settings"), ("--data-seed", int),
+                                    ("--seed", int), ("--out-dir", str), *_TUNING_SURFACE]],
+]
+# JSON values of the wrong type for each value type: a bool, a list, an object,
+# a string for a number, a float for an int and a number for a string.
+WRONG_JSON = {
+    int: [True, [1], {"a": 1}, "1", 1.5],
+    float: [False, [1.5], {"a": 1.5}, "1.5"],
+    str: [True, ["x"], {"a": "x"}, 1, 1.5],
+    "settings": [True, [True], ["4"], {"a": 4}, 4, 4.5],
+}
+
+
+def surface_argv(command, skip, tmp_path, out):
+    """A valid command line without the flag skip; small swarms; output under out."""
+    values = {
+        "simulate": {"--setting": 1, "--seed": 1, "--out": out / "data.csv"},
+        "fit": {"--data": tmp_path / "data.csv", "--topology": "lbest", "--out": out / "f.json",
+                "--restarts": 1, "--iters": 1, "--particles": 5, "--m": 1},
+        "bench": {"--settings": 4, "--data-seed": 1, "--seed": 1, "--out-dir": out,
+                  "--restarts": 1, "--iters": 1, "--particles": 5, "--m": 1},
+    }[command]
+    if command == "fit":
+        (tmp_path / "data.csv").write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+    return [command] + [a for f, v in values.items() if f != skip for a in (f, v)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "bench"])
+def test_help_lists_exactly_the_surface_flags(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", capsys.readouterr().out))
+    flags = {flag for cmd, flag, _ in SURFACE if cmd == command}
+    assert listed == flags | {"--config", "--help"}
+
+
+@pytest.mark.parametrize("command, flag, kind", SURFACE)
+def test_config_value_of_wrong_type_exits_1_naming_key(tmp_path, capsys, command, flag, kind):
+    key = flag[2:].replace("-", "_")
+    argv = surface_argv(command, flag, tmp_path, tmp_path / "out")
+    for value in WRONG_JSON[kind]:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert run(argv + ["--config", cfg]) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("swarmfit: error:") and key in err, (value, err)
+
+
+@pytest.mark.parametrize("command, flag, kind", SURFACE)
+def test_config_null_acts_as_unset(tmp_path, capsys, command, flag, kind):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({flag[2:].replace("-", "_"): None}))
+    outcomes = []
+    for out, extra in [(tmp_path / "a", ["--config", cfg]), (tmp_path / "b", [])]:
+        out.mkdir()
+        code = run(surface_argv(command, flag, tmp_path, out) + extra)
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        outcomes.append((code, capsys.readouterr().err, files))
+    assert outcomes[0] == outcomes[1]
 
 
 class TestParseSettings:
@@ -108,6 +199,15 @@ class TestFit:
         code = run(["fit", "--data", data, "--topology", "lbest", "--out", out] + FAST)
         assert code == 0
         assert json.loads(out.read_text())["summary"]["topology"] == "lbest"
+
+    def test_bad_topology_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run(["fit", "--data", tmp_path / "d.csv", "--topology", "bogus",
+                 "--out", tmp_path / "f.json"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: swarmfit fit [-h]")
+        assert "invalid choice: 'bogus' (choose from 'gbest', 'lbest')" in err
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(

@@ -123,6 +123,7 @@ class TestSigmoidMean:
         out = sigmoid_mean(t, params)
         assert out.shape == (7,)
         assert out[3] == pytest.approx(3.0)
+        assert sigmoid_mean(np.array([]), params).shape == (0,)
 
     def test_range(self):
         rng = np.random.default_rng(0)
@@ -698,6 +699,13 @@ class TestDecodePosition:
 
     def test_clamps_dispersion_at_one(self):
         assert decode_position([0.0, 0.5, 1.0, 0.4]).phi_g == 1
+
+    @pytest.mark.parametrize(
+        "phi, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
+    )
+    def test_non_finite_dispersion_rejected(self, phi, error):
+        with pytest.raises(error):
+            decode_position([0.0, 0.5, 1.0, phi])
 
     def test_continuous_coordinates_pass_through(self):
         params = decode_position([7.0, 0.4, 6.0, 25.0])
