@@ -77,6 +77,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        for name in ("master_seed", "data_seed"):
+            value = getattr(self, name)
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
 
 
 def aggregate_restarts(

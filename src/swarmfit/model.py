@@ -15,7 +15,6 @@ count range, and user-supplied bounds on k and phi.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -26,24 +25,17 @@ import numpy as np
 from .pso import BoxDomain
 
 # Floor on the sigmoid mean: keeps log(tau) finite when the exponential
-# saturates, so the objective is finite everywhere on the box.
+# saturates or overflows, so the objective is finite everywhere on the box.
 TAU_FLOOR = 1e-12
-# Clamp on the exp argument to avoid overflow at extreme k*(t - t0).
-EXP_CLAMP = 700.0
 # Lower guard on the mu box when the smallest observed count is 0.
 MU_FLOOR = 1e-6
 # Largest count accepted: the largest integer a float (the likelihood's copy
 # of the counts) holds exactly.
 MAX_COUNT = 2**53
-# Largest exp argument for which _guards tests whether the floor can bind;
-# well below 709.78, where exp overflows.  A larger reach always floors.
-_FLOOR_TEST_MAX = 600.0
 # 0-d operands: a ufunc converts a Python float operand on every call, which
 # at a few hundred cells costs as much as the arithmetic.
 _ONE = np.array(1.0)
 _TAU_FLOOR = np.array(TAU_FLOOR)
-_EXP_CLAMP = np.array(EXP_CLAMP)
-_MINUS_EXP_CLAMP = np.array(-EXP_CLAMP)
 # Maps the columns (k, t0, mu) to the sigmoid's operands (-k, t0, 2*mu); both
 # products are exact.
 _PAR_SCALE = np.array([[-1.0], [1.0], [2.0]])
@@ -105,16 +97,13 @@ class Dataset:
     Immutable after construction.  The likelihood terms free of tau sum to
     one float per integer phi, computed from the distinct counts and their
     multiplicities and cached, so each evaluation only does per-cell work
-    that depends on tau.  The pseudotime range (t_lo, t_hi) is kept so an
-    evaluation can tell without a pass over the cells whether the sigmoid's
-    exp clamp or floor can act.  times and the float copy of the counts are
-    held in 64-byte-aligned copies (see _aligned_empty).
+    that depends on tau.  times and the float copy of the counts are held in
+    64-byte-aligned copies (see _aligned_empty).
     """
 
     times: np.ndarray
     counts: np.ndarray
     _y: np.ndarray = field(init=False, repr=False)
-    _span: tuple[float, float] = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
     _mult: np.ndarray = field(init=False, repr=False)
     _phi_cache: dict = field(init=False, repr=False)
@@ -143,7 +132,6 @@ class Dataset:
         self.times[:] = times
         self._y = _aligned_empty(self.counts.shape)
         self._y[:] = self.counts
-        self._span = (float(self.times.min()), float(self.times.max()))
         distinct, mult = np.unique(self.counts, return_counts=True)
         self._distinct = distinct.astype(float)
         self._mult = mult.astype(float)
@@ -166,52 +154,22 @@ class Dataset:
         return cached
 
 
-def _guards(span, k, t0, mu) -> np.ndarray:
-    """Whether the exp clamp and whether the floor can act, per parameter row.
-
-    span is (min t, max t); k, t0 and mu hold one value per row.  Returns
-    the two flags stacked: clamp needed, then floor needed.
-    z = -k*(t - t0) peaks at an end of the t range and rounding is monotone,
-    so no element's z exceeds reach = |k|*max(t_hi - t0, t0 - t_lo), and the
-    smallest tau is 2*mu/(1 + exp(z)) where z peaks.  A row needs the clamp
-    only when reach exceeds EXP_CLAMP, and the floor only unless
-    2*mu/(1 + exp(reach)) is at least 2*TAU_FLOOR.  The factor 2 keeps that
-    test clear of last-bit differences in exp; above _FLOOR_TEST_MAX the
-    floor is always applied.  Applying a guard a row does not need is exact:
-    clipping a z inside +-EXP_CLAMP, or flooring a tau above TAU_FLOOR,
-    changes nothing.
-    """
-    t_lo, t_hi = span
-    with np.errstate(over="ignore", invalid="ignore"):  # reach may be inf or nan
-        reach = np.abs(k) * np.maximum(t_hi - t0, t0 - t_lo)
-    low = 2.0 * mu / (1.0 + np.exp(np.minimum(reach, _FLOOR_TEST_MAX)))
-    # written so that a nan reach or mu applies the floor
-    return np.array(
-        [reach > EXP_CLAMP, ~((reach <= _FLOOR_TEST_MAX) & (low >= 2.0 * TAU_FLOOR))]
-    )
-
-
-def _tau(t, neg_k, t0, two_mu, clamp, floor, out):
+def _tau(t, neg_k, t0, two_mu, out):
     """Write the sigmoid mean at pseudotimes t into out; return out.
 
     neg_k, t0 and two_mu broadcast against t, one row of out per parameter
-    row; clamp and floor say whether the rows need the exp clamp and the
-    floor (see _guards).
+    row.  The caller silences overflow: z = -k*(t - t0) or exp(z) may reach
+    +inf, where tau is 0 and the floor lifts it; at z = -inf, tau is 2*mu.
+    The floor is applied only when some tau is below it, which is exact,
+    since flooring a tau at or above TAU_FLOOR changes nothing.  fmin skips
+    nan, so a nan row cannot hide another row's need for the floor.
     """
-    if clamp:
-        # z may overflow to +-inf here; the clip maps it into +-EXP_CLAMP
-        with np.errstate(over="ignore"):
-            np.subtract(t, t0, out)
-            np.multiply(out, neg_k, out)
-        np.maximum(out, _MINUS_EXP_CLAMP, out=out)
-        np.minimum(out, _EXP_CLAMP, out=out)
-    else:
-        np.subtract(t, t0, out)
-        np.multiply(out, neg_k, out)
+    np.subtract(t, t0, out)
+    np.multiply(out, neg_k, out)
     np.exp(out, out)
     np.add(out, _ONE, out)
     np.divide(two_mu, out, out)
-    if floor:
+    if np.fmin.reduce(out, axis=None, initial=np.inf) < TAU_FLOOR:
         np.maximum(out, _TAU_FLOOR, out=out)
     return out
 
@@ -220,11 +178,11 @@ def sigmoid_mean(t, params: NbParams):
     """Mean count at pseudotime t; accepts a scalar or an array.
 
     Floored at TAU_FLOOR so the result is strictly positive even when the
-    sigmoid saturates toward 0.
+    sigmoid saturates toward 0 or exp overflows.
     """
     t = np.asarray(t, dtype=float)
-    # always clamped and floored, which is exact where neither can act
-    return _tau(t, -params.k_g, params.t_g, 2.0 * params.mu_g, True, True, np.empty_like(t))[()]
+    with np.errstate(over="ignore"):
+        return _tau(t, -params.k_g, params.t_g, 2.0 * params.mu_g, np.empty_like(t))[()]
 
 
 def _lgamma_scalar(v: float) -> float:
@@ -288,12 +246,14 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     max(1, _BLOCK_CELLS // C) in a (2, rows, C) scratch buffer owned by this
     binding, so a call allocates no array of the swarm's cells and must not
     run on two threads at once.  Every per-cell step acts on a whole block.
-    A block of several rows runs on operands of its own shape: (rows, C)
-    copies of t and y made once, and a (4, rows, C) block of the rows'
-    (-k, t0, 2*mu, phi) filled once per block.  A ufunc given a (rows, 1) or
-    (C,) operand would have numpy build a broadcasting iterator and buffer
-    the whole block, on each call.  Together the copies are at most
-    6 * _BLOCK_CELLS floats (192 KB).  A block of one row runs on 1-d views
+    _tau floors a whole block when any of its taus needs it, which leaves
+    every other row as it is, and overflow is silenced once per call, around
+    the block loop.  A block of several rows runs on operands of its own
+    shape: (rows, C) copies of t and y made once, and a (4, rows, C) block
+    of the rows' (-k, t0, 2*mu, phi) filled once per block.  A ufunc given a
+    (rows, 1) or (C,) operand would have numpy build a broadcasting iterator
+    and buffer the whole block, on each call.  Together the copies are at
+    most 6 * _BLOCK_CELLS floats (192 KB).  A block of one row runs on 1-d views
     with scalar operands, which numpy evaluates without that iterator.  The
     two sums over cells are taken row by row with np.vecdot, which runs
     numpy's 1-d dot (BLAS ddot) on each row, so a row's value does not
@@ -301,7 +261,7 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     bit; a matrix product (A @ y, einsum) sums in another order and changes
     the last bit.
     """
-    t, span, y = data.times, data._span, data._y
+    t, y = data.times, data._y
     phi_terms, phi_cache = data._phi_terms, data._phi_cache
     rows = max(1, _BLOCK_CELLS // len(data))
     work = _aligned_empty((2, rows, len(data)))
@@ -312,36 +272,30 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     def nll(ktm: np.ndarray, phis: np.ndarray) -> np.ndarray:
         n = len(phis)
-        if rows == 1:
-            # testing which rows need the guards saves two passes over C cells
-            guards = zip(*_guards(span, *ktm.T).tolist())
-        else:
-            # guarding every cell of a block, which is exact, costs less than
-            # the test
-            guards = itertools.repeat((True, True))
         par = np.empty((4, n))  # rows -k, t0, 2*mu, phi
         np.multiply(ktm.T, _PAR_SCALE, par[:3])
         par[3] = phis
         sums = np.empty((2, n))
-        for r0, (clamp, floor) in zip(range(0, n, rows), guards):
-            r1 = r0 + rows
-            block = work[:, : n - r0]
-            # numpy runs 1-d rows with scalar operands without its broadcasting
-            # iterator, which saves about 4% at C = 20000
-            if len(block[0]) == 1:
-                (tau, aux), (neg_k, t_mid, two_mu, phi_r) = block[:, 0], par[:, r0]
-                t_r, y_r = t, y
-            else:
-                (tau, aux), (t_r, y_r) = block, full_ty[:, : n - r0]
-                np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
-                neg_k, t_mid, two_mu, phi_r = full_par[:, : n - r0]
-            _tau(t_r, neg_k, t_mid, two_mu, clamp, floor, tau)
-            np.log(tau, aux)
-            np.vecdot(y, block[1], out=sums[0, r0:r1])
-            np.add(tau, phi_r, tau)
-            np.log(tau, tau)
-            np.add(y_r, phi_r, aux)
-            np.vecdot(block[1], block[0], out=sums[1, r0:r1])
+        with np.errstate(over="ignore"):  # see _tau
+            for r0 in range(0, n, rows):
+                r1 = r0 + rows
+                block = work[:, : n - r0]
+                # numpy runs 1-d rows with scalar operands without its
+                # broadcasting iterator, which saves about 4% at C = 20000
+                if len(block[0]) == 1:
+                    (tau, aux), (neg_k, t_mid, two_mu, phi_r) = block[:, 0], par[:, r0]
+                    t_r, y_r = t, y
+                else:
+                    (tau, aux), (t_r, y_r) = block, full_ty[:, : n - r0]
+                    np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
+                    neg_k, t_mid, two_mu, phi_r = full_par[:, : n - r0]
+                _tau(t_r, neg_k, t_mid, two_mu, tau)
+                np.log(tau, aux)
+                np.vecdot(y, block[1], out=sums[0, r0:r1])
+                np.add(tau, phi_r, tau)
+                np.log(tau, tau)
+                np.add(y_r, phi_r, aux)
+                np.vecdot(block[1], block[0], out=sums[1, r0:r1])
         keys = phis.tolist()
         try:
             values = np.fromiter(map(phi_cache.__getitem__, keys), float, n)
@@ -390,7 +344,7 @@ def build_domain(
         raise ValueError("phi_max must be >= 1")
     if phi_max > MAX_COUNT:  # before float(phi_max), which fails past 1.8e308
         raise ValueError(f"phi_max must be at most 2**53 = {MAX_COUNT}")
-    t_lo, t_hi = data._span
+    t_lo, t_hi = float(data.times.min()), float(data.times.max())
     y_min = int(data.counts.min())
     y_max = int(data.counts.max())
     mu_lo = max(y_min / 2.0, MU_FLOOR)

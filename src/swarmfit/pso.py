@@ -224,8 +224,8 @@ def position_update(x, v_new, domain: BoxDomain):
     on the bound they pass.  Returns (position, velocity).
     """
     candidate = x + v_new
-    inside = (candidate >= domain.lower) & (candidate <= domain.upper)  # nan fails
     position = np.fmin(np.fmax(candidate, domain.lower), domain.upper)  # nan -> lower
+    inside = position == candidate  # only a candidate in the box is left as it is; nan != nan
     velocity = np.where(inside, v_new, 0.0)
     return position, velocity
 

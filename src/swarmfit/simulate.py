@@ -80,6 +80,8 @@ def sample_nb(tau, phi: int, rng: np.random.Generator, size=None):
 
 def generate_dataset(setting: Setting, seed: int) -> Dataset:
     """Draw one dataset for the given scenario, deterministic in seed."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.default_rng(seed)
     times = sample_pseudotimes(setting.C, rng)
     tau = sigmoid_mean(times, setting.params)

@@ -80,6 +80,20 @@ WRONG_JSON = {
     "settings": [True, [True], ["4"], {"a": 4}, 4, 4.5],
 }
 
+# Integer options, (command, flag) -> (the name a diagnostic gives, values one
+# past each end of the range).  The name is the option's key or the config
+# field it sets; surface_argv runs 5 particles, so m = 6 is one past the swarm.
+OUT_OF_RANGE = {
+    ("simulate", "--setting"): ("setting", [0, 7]),
+    ("simulate", "--seed"): ("seed", [-1, 2**64]),
+    **{(cmd, flag): entry for cmd in ("fit", "bench") for flag, entry in [
+        ("--particles", ("n_particles", [0])), ("--iters", ("n_iterations", [0])),
+        ("--m", ("m_neighbors", [0, 6])), ("--restarts", ("restarts", [0])),
+        ("--phi-max", ("phi_max", [0, 2**53 + 1])), ("--seed", ("master_seed", [-1, 2**64])),
+    ]},
+    ("bench", "--data-seed"): ("data_seed", [-1, 2**64]),
+}
+
 
 def surface_argv(command, skip, tmp_path, out):
     """A valid command line without the flag skip; small swarms; output under out."""
@@ -108,6 +122,7 @@ def test_help_lists_exactly_the_surface_flags(command, capsys):
 @pytest.mark.parametrize("command, flag, kind", SURFACE)
 def test_config_value_of_wrong_type_exits_1_naming_key(tmp_path, capsys, command, flag, kind):
     key = flag[2:].replace("-", "_")
+    (tmp_path / "out").mkdir()  # so that only the value can make the run fail
     argv = surface_argv(command, flag, tmp_path, tmp_path / "out")
     for value in WRONG_JSON[kind]:
         cfg = tmp_path / "cfg.json"
@@ -115,6 +130,30 @@ def test_config_value_of_wrong_type_exits_1_naming_key(tmp_path, capsys, command
         assert run(argv + ["--config", cfg]) == 1, value
         err = capsys.readouterr().err
         assert err.startswith("swarmfit: error:") and key in err, (value, err)
+
+
+def test_out_of_range_table_covers_every_integer_option():
+    assert set(OUT_OF_RANGE) == {(cmd, flag) for cmd, flag, kind in SURFACE if kind is int}
+
+
+@pytest.mark.parametrize("command, flag", sorted(OUT_OF_RANGE))
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_out_of_range_integer_exits_1_naming_option(tmp_path, capsys, command, flag, via):
+    key = flag[2:].replace("-", "_")
+    name, values = OUT_OF_RANGE[command, flag]
+    (tmp_path / "out").mkdir()  # so that only the value can make the run fail
+    argv = surface_argv(command, flag, tmp_path, tmp_path / "out")
+    for value in values:
+        if via == "flag":
+            extra = [f"{flag}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            extra = ["--config", cfg]
+        assert run(argv + extra) == 1, value
+        err = capsys.readouterr().err
+        assert err.startswith("swarmfit: error:"), (value, err)
+        assert re.search(rf"\b({key}|{name})\b", err), (value, err)
 
 
 @pytest.mark.parametrize("command, flag, kind", SURFACE)
@@ -260,8 +299,8 @@ class TestFit:
         assert capsys.readouterr().err.startswith(f"swarmfit: error: {diagnostic}")
 
     def test_huge_pseudotime_span_fits_without_warnings(self, tmp_path):
-        # k*(t - t0) overflows to inf on this span before the exp clamp maps
-        # it into range, which used to print a numpy RuntimeWarning
+        # k*(t - t0) overflows to inf on this span, where tau is floored; the
+        # overflow used to print a numpy RuntimeWarning
         data = tmp_path / "data.csv"
         data.write_text("t,y\n0,1\n1e308,5\n0.5,3\n")
         argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json",

@@ -22,7 +22,6 @@ from swarmfit import (
 )
 from swarmfit.model import (
     _BLOCK_CELLS,
-    EXP_CLAMP,
     MU_FLOOR,
     TAU_FLOOR,
     Dataset,
@@ -116,6 +115,14 @@ class TestSigmoidMean:
     def test_lower_saturation_floors(self):
         params = NbParams(7.0, 0.4, 6.0, 25)
         assert sigmoid_mean(-1000.0, params) == TAU_FLOOR
+
+    def test_exp_overflow_floors(self):
+        # exp(1000) overflows to inf, so tau = 2*mu/inf = 0 and is floored; the
+        # true tau is about 1e-134, far below the floor.  Clamping the exp
+        # argument at 700 would give 2e300/(1 + e**700), about 2e-4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is silenced
+            assert sigmoid_mean(1.0, NbParams(-1e3, 0.0, 1e300, 1)) == TAU_FLOOR
 
     def test_vectorized(self):
         params = NbParams(2.0, 0.5, 3.0, 5)
@@ -364,8 +371,15 @@ class TestLikelihoodProperties:
         assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-14 * magnitude
 
 
+# The exp clamp of the reference sigmoid: an exp argument above it gives a tau
+# below TAU_FLOOR at every point of the box (2*mu <= 2**53), one below -EXP_CLAMP
+# rounds 1 + exp(z) to 1.  So on the box the clamp changes no floored tau.
+EXP_CLAMP = 700.0
+
+
 def clamped_sigmoid_mean(t, params):
-    """Reference: the sigmoid with its exp argument always clamped."""
+    """Reference: the sigmoid with its exp argument always clamped and tau
+    always floored."""
     z = np.clip(-params.k_g * (t - params.t_g), -EXP_CLAMP, EXP_CLAMP)
     return np.maximum(2.0 * params.mu_g / (1.0 + np.exp(z)), TAU_FLOOR)
 
@@ -389,13 +403,13 @@ def steep_points(draw, domain):
 
 @st.composite
 def floor_cases(draw):
-    """(dataset, k, t0, mu): the smallest tau, 2*mu/(1 + exp(reach)), lands
-    on either side of TAU_FLOOR or of the 2*TAU_FLOOR test that skips the
-    floor, with mu down to MU_FLOOR and |k| up to 1e4.  k's sign makes z
-    peak on the longer side of t0, so z's peak equals reach.  Sometimes the
-    case is moved to a reach where np.exp rounds above math.exp and mu to
-    within a few ulps of the level, the spot where a skip test without its
-    margin goes wrong."""
+    """(dataset, k, t0, mu): the smallest tau, 2*mu/(1 + exp(reach)) with
+    reach = |k|*max(t_hi - t0, t0 - t_lo), lands on either side of
+    TAU_FLOOR, below which the floor acts, or of 2*TAU_FLOOR, with mu down to
+    MU_FLOOR and |k| up to 1e4.  k's sign makes z peak on the longer side of
+    t0, so z's peak equals reach.  Sometimes the case is moved to a reach
+    where np.exp rounds above math.exp and mu to within a few ulps of the
+    level, so that the smallest tau sits within a few ulps of it."""
     c = draw(st.integers(1, 30))
     times = draw(st.lists(st.floats(0.0, 1.0), min_size=c, max_size=c))
     counts = draw(st.lists(st.integers(0, 50), min_size=c, max_size=c))
@@ -424,7 +438,8 @@ def floor_cases(draw):
 
 def reference_nll(x, data):
     """Reference: the NLL summed in the objective's operation order, from
-    clamped_sigmoid_mean, which always clamps and always floors."""
+    clamped_sigmoid_mean, which clamps every exp argument and floors every
+    tau."""
     params = decode_position(x)
     tau = clamped_sigmoid_mean(data.times, params)
     y = data.counts.astype(float)
@@ -443,7 +458,7 @@ class TestObjectiveProperties:
         params = NbParams(k, t0, mu, phi)
         x = np.array([k, t0, mu, float(phi)])
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an unclamped exp overflow warns
+            warnings.simplefilter("error")  # an exp overflow that is not silenced warns
             tau = sigmoid_mean(data.times, params)
             got = make_objective(data)(x)
         assert tau.tobytes() == clamped_sigmoid_mean(data.times, params).tobytes()
@@ -477,7 +492,7 @@ class TestObjectiveProperties:
         for x in draw.draw(st.lists(steep_points(domain), min_size=1, max_size=4)):
             params = decode_position(x)
             with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an unclamped exp overflow warns
+                warnings.simplefilter("error")  # an exp overflow that is not silenced warns
                 assert objective(x) == neg_log_likelihood(params, data)
             tau = sigmoid_mean(data.times, params)
             assert np.array_equal(tau, clamped_sigmoid_mean(data.times, params))
@@ -514,12 +529,28 @@ class TestObjectiveProperties:
         points = np.array(draw.draw(st.lists(steep_points(domain), min_size=n, max_size=n)))
         objective = make_objective(data)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an unclamped exp overflow warns
+            warnings.simplefilter("error")  # an exp overflow that is not silenced warns
             got = objective(points)
             expected = [objective(x) for x in points]
         assert got.shape == (n,)
         assert got.tolist() == expected
         assert expected == [reference_nll(x, data) for x in points]
+
+    def test_nan_row_does_not_hide_a_floored_row(self):
+        # the floor test reduces a block with fmin, which skips the nan row's
+        # taus; a plain min would be nan and leave the steep row unfloored
+        data = generate_dataset(get_setting(4), 1)
+        assert _BLOCK_CELLS // len(data) >= 2  # both rows land in one block
+        # k and t0 at their tops: exp overflows at t_lo and tau there is 0
+        steep = build_domain(data, k_bounds=(-1e4, 1e4)).upper.copy()
+        assert sigmoid_mean(data.times, decode_position(steep)).min() == TAU_FLOOR
+        nan_k = steep.copy()
+        nan_k[0] = math.nan
+        objective = make_objective(data)
+        for points, i in [([nan_k, steep], 1), ([steep, nan_k], 0)]:
+            got = objective(np.array(points))
+            assert math.isnan(got[1 - i])
+            assert got[i] == objective(steep) == reference_nll(steep, data)
 
     @PROPERTY
     @given(mu=st.floats(-1e3, 0.0), draw=st.data())
