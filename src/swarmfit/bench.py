@@ -6,9 +6,11 @@ values into best/mean/std/median summaries.  Restart seeds are derived
 from a master seed with the SplitMix64 finisher, so restart r is a pure
 function of (master_seed, r) and restarts can run in any order.
 
-Emission helpers render the summaries as plot- and diff-friendly CSV
-(fixed decimal places, round half up) and as a JSON document with full
-per-restart detail.
+``run_restarts`` fits one cell.  ``write_bench_outputs`` is the one grid
+runner: every requested setting under both topologies, with its artifacts
+written as it goes.  Emission helpers render the summaries as plot- and
+diff-friendly CSV (fixed decimal places, round half up) and as a JSON
+document with full per-restart detail.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .pso import SwarmConfig, Topology, optimize
 from .simulate import generate_dataset, get_setting
 
 _MASK64 = (1 << 64) - 1
+_CURVE_POINTS = 201
 
 
 def mix64(master_seed: int, r: int) -> int:
@@ -132,29 +135,6 @@ def run_restarts(
     return aggregate_restarts(per_restart, topology, setting_id)
 
 
-def _experiment(cfg: ExperimentConfig, settings):
-    """Yield (setting, dataset, [gbest, lbest summaries]) per requested setting.
-
-    Every setting id is resolved before the first fit.  Each dataset is
-    generated once from cfg.data_seed and shared by both topologies and all
-    restarts, so only the swarm initialization varies across the comparison.
-    """
-    resolved = [get_setting(setting_id) for setting_id in settings]
-    if not resolved:
-        raise ValueError("settings must be non-empty")
-    for setting in resolved:
-        data = generate_dataset(setting, cfg.data_seed)
-        yield setting, data, [
-            run_restarts(data, cfg, topology, setting.id)
-            for topology in (Topology.GBEST, Topology.LBEST)
-        ]
-
-
-def run_experiment(cfg: ExperimentConfig, settings) -> list[RunSummary]:
-    """Run both topologies on each requested setting, in setting order."""
-    return [s for _, _, cell in _experiment(cfg, settings) for s in cell]
-
-
 def _fmt(value: float, places: int) -> str:
     """Fixed-point rendering with round half up (1.005 -> '1.01')."""
     quantum = Decimal(1).scaleb(-places)
@@ -187,26 +167,13 @@ def emit_params_table(summaries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_fit_curve(
-    params: NbParams,
-    true_params: NbParams | None = None,
-    grid_size: int = 201,
-) -> str:
-    """Plot-ready fitted mean curve on a uniform pseudotime grid.
-
-    One row per grid point t = j/(grid_size-1); a tau_true column is
-    appended when the generating parameters are known.
-    """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    t = np.arange(grid_size) / (grid_size - 1)
-    columns = [t, sigmoid_mean(t, params)]
-    header = "t,tau_fit"
-    if true_params is not None:
-        columns.append(sigmoid_mean(t, true_params))
-        header += ",tau_true"
+def emit_fit_curve(params: NbParams, true_params: NbParams) -> str:
+    """Plot-ready fitted and generating mean curves, header t,tau_fit,tau_true,
+    one row per point t = j/(_CURVE_POINTS-1) of a uniform pseudotime grid."""
+    t = np.arange(_CURVE_POINTS) / (_CURVE_POINTS - 1)
+    columns = (t, sigmoid_mean(t, params), sigmoid_mean(t, true_params))
     rows = (",".join(map(repr, row)) for row in zip(*(c.tolist() for c in columns)))
-    return "\n".join([header, *rows]) + "\n"
+    return "\n".join(["t,tau_fit,tau_true", *rows]) + "\n"
 
 
 def summary_to_dict(s: RunSummary) -> dict:
@@ -235,21 +202,32 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def write_bench_outputs(out_dir, cfg: ExperimentConfig, settings) -> list[RunSummary]:
-    """Run the experiment and write all artifacts under out_dir.
+    """Run both topologies on each requested setting and write all artifacts
+    under out_dir; return the summaries in setting order, gbest before lbest.
+
+    Every setting id is resolved, and an empty list rejected, before out_dir
+    is created.  Each dataset is generated once from cfg.data_seed and shared
+    by both topologies and all restarts, so only the swarm initialization
+    varies across the comparison.
 
     Files: results.csv and params.csv (summary tables), one
     curve_<setting>_<topology>.csv per cell, data_<setting>.csv with the
     generated dataset, and run.json with full per-restart detail.
     """
+    resolved = [get_setting(setting_id) for setting_id in settings]
+    if not resolved:
+        raise ValueError("settings must be non-empty")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []
-    for setting, data, cell in _experiment(cfg, settings):
+    for setting in resolved:
+        data = generate_dataset(setting, cfg.data_seed)
         save_dataset(data, out / f"data_{setting.id}.csv")
-        for s in cell:
+        for topology in (Topology.GBEST, Topology.LBEST):
+            s = run_restarts(data, cfg, topology, setting.id)
             curve = emit_fit_curve(s.best_params, setting.params)
-            (out / f"curve_{s.setting_id}_{s.topology.value}.csv").write_text(curve)
-        summaries += cell
+            (out / f"curve_{setting.id}_{topology.value}.csv").write_text(curve)
+            summaries.append(s)
     (out / "results.csv").write_text(emit_results_table(summaries))
     (out / "params.csv").write_text(emit_params_table(summaries))
     doc = {"config": config_to_dict(cfg), "summaries": [summary_to_dict(s) for s in summaries]}

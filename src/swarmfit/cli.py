@@ -165,10 +165,7 @@ def _parse_settings(raw: str | list) -> list[int]:
         raise ValueError(f"cannot parse settings list {raw!r}") from None
     if not ids:
         raise ValueError("settings list is empty")
-    unique = list(dict.fromkeys(ids))
-    for setting_id in unique:
-        get_setting(setting_id)
-    return unique
+    return list(dict.fromkeys(ids))
 
 
 def _cmd_simulate(options: dict) -> int:
@@ -179,11 +176,14 @@ def _cmd_simulate(options: dict) -> int:
 
 
 def _cmd_fit(options: dict) -> int:
+    out = Path(options["out"])
+    if out.is_dir() or not out.parent.is_dir():
+        raise ValueError(f"--out must name a file in an existing directory, got {out}")
     data = load_dataset(options["data"])
     cfg = _experiment_config(options)
     summary = run_restarts(data, cfg, options["topology"])
     doc = {"config": config_to_dict(cfg), "summary": summary_to_dict(summary)}
-    Path(options["out"]).write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

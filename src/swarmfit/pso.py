@@ -187,16 +187,14 @@ def init_swarm(
     domain: BoxDomain,
     config: SwarmConfig,
     objective: Objective,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> Swarm:
-    """Draw the initial swarm.
+    """Draw the initial swarm from rng, the stream that then steps it.
 
     Positions are uniform inside the box; velocities are uniform in
     +-(range/2) per dimension.  Personal bests start at the initial
     positions.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     n, d = config.n_particles, domain.dim
     positions = rng.uniform(domain.lower, domain.upper, size=(n, d))
     half_span = domain.span / 2.0

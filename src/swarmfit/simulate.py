@@ -44,23 +44,11 @@ _SETTINGS = (
 )
 
 
-def builtin_settings() -> list[Setting]:
-    """The six built-in simulation scenarios."""
-    return list(_SETTINGS)
-
-
 def get_setting(setting_id: int) -> Setting:
     for setting in _SETTINGS:
         if setting.id == setting_id:
             return setting
     raise ValueError(f"setting must be in 1..6, got {setting_id}")
-
-
-def sample_pseudotimes(C: int, rng: np.random.Generator) -> np.ndarray:
-    """C independent uniform draws on [0, 1]."""
-    if C < 1:
-        raise ValueError("C must be >= 1")
-    return rng.random(C)
 
 
 def sample_nb(tau, phi: int, rng: np.random.Generator, size=None):
@@ -83,7 +71,7 @@ def generate_dataset(setting: Setting, seed: int) -> Dataset:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.default_rng(seed)
-    times = sample_pseudotimes(setting.C, rng)
+    times = rng.random(setting.C)
     tau = sigmoid_mean(times, setting.params)
     counts = sample_nb(tau, setting.phi_g, rng)
     return Dataset(times=times, counts=counts)

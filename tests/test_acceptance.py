@@ -23,7 +23,7 @@ from swarmfit import (
     make_objective,
     optimize,
 )
-from swarmfit.bench import ExperimentConfig, run_experiment, run_restarts
+from swarmfit.bench import ExperimentConfig, run_restarts
 from swarmfit.model import Dataset, NbParams, nb_log_pmf, neg_log_likelihood, sigmoid_mean
 from swarmfit.pso import Topology, init_swarm, step
 from swarmfit.simulate import sample_nb
@@ -44,7 +44,11 @@ def grid_experiment():
     """Full benchmark: all 6 settings x both topologies x 50 restarts."""
     cfg = ExperimentConfig(restarts=50, master_seed=MASTER_SEED, data_seed=DATA_SEED)
     start = time.perf_counter()
-    summaries = run_experiment(cfg, range(1, 7))
+    summaries = []
+    for setting_id in range(1, 7):
+        data = generate_dataset(get_setting(setting_id), cfg.data_seed)
+        for topology in (Topology.GBEST, Topology.LBEST):
+            summaries.append(run_restarts(data, cfg, topology, setting_id))
     elapsed = time.perf_counter() - start
     return cfg, summaries, elapsed
 

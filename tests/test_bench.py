@@ -13,7 +13,6 @@ from swarmfit.bench import (
     emit_params_table,
     emit_results_table,
     mix64,
-    run_experiment,
     run_restarts,
     summary_to_dict,
     write_bench_outputs,
@@ -167,27 +166,27 @@ class TestRunRestarts:
 
 
 class TestRunExperiment:
-    def test_cell_count_and_order(self):
-        summaries = run_experiment(SMALL, [4, 5])
+    def test_cell_count_and_order(self, tmp_path):
+        summaries = write_bench_outputs(tmp_path, SMALL, [5, 4])
         assert [(s.setting_id, s.topology.value) for s in summaries] == [
-            (4, "gbest"),
-            (4, "lbest"),
             (5, "gbest"),
             (5, "lbest"),
+            (4, "gbest"),
+            (4, "lbest"),
         ]
 
-    def test_empty_settings_rejected(self):
+    def test_empty_settings_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            run_experiment(SMALL, [])
+            write_bench_outputs(tmp_path, SMALL, [])
 
-    def test_full_neighborhood_degenerates_to_gbest(self):
+    def test_full_neighborhood_degenerates_to_gbest(self, tmp_path):
         cfg = ExperimentConfig(
             restarts=3,
             swarm=SwarmConfig(n_particles=6, m_neighbors=6, n_iterations=12),
             master_seed=2,
             data_seed=9,
         )
-        gbest, lbest = run_experiment(cfg, [4])
+        gbest, lbest = write_bench_outputs(tmp_path, cfg, [4])
         assert gbest.topology is Topology.GBEST and lbest.topology is Topology.LBEST
         assert gbest.best == lbest.best
         assert gbest.mean == lbest.mean
@@ -195,6 +194,13 @@ class TestRunExperiment:
         assert gbest.median == lbest.median
         for (va, pa), (vb, pb) in zip(gbest.per_restart, lbest.per_restart):
             assert va == vb and np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("settings", [[], [9], [4, 0]])
+    def test_bad_settings_create_nothing(self, tmp_path, settings):
+        out = tmp_path / "bench"
+        with pytest.raises(ValueError):
+            write_bench_outputs(out, SMALL, settings)
+        assert not out.exists()
 
     def test_invalid_restarts(self):
         with pytest.raises(ValueError):
@@ -258,34 +264,32 @@ class TestParamsTable:
 
 
 class TestFitCurve:
+    truth = NbParams(7.0, 0.4, 6.0, 25)
+
     def test_midpoint_row(self):
-        params = NbParams(7.0, 0.4, 6.0, 25)
-        lines = emit_fit_curve(params, grid_size=6).splitlines()
-        assert lines[0] == "t,tau_fit"
-        assert len(lines) == 7
-        row = dict(line.split(",", 1) for line in lines[1:])
+        lines = emit_fit_curve(NbParams(7.0, 0.4, 6.0, 25), self.truth).splitlines()
+        assert len(lines) == 202
+        row = {line.split(",")[0]: line.split(",")[1] for line in lines[1:]}
         assert float(row["0.4"]) == 6.0
 
     def test_endpoints_only(self):
-        lines = emit_fit_curve(NbParams(1.0, 0.5, 2.0, 1), grid_size=2).splitlines()
+        lines = emit_fit_curve(NbParams(1.0, 0.5, 2.0, 1), self.truth).splitlines()
         ts = [float(line.split(",")[0]) for line in lines[1:]]
-        assert ts == [0.0, 1.0]
+        assert ts[0] == 0.0 and ts[-1] == 1.0
+        assert ts == [j / 200 for j in range(201)]
 
     def test_flat_curve_when_k_zero(self):
-        lines = emit_fit_curve(NbParams(0.0, 0.5, 3.0, 1), grid_size=11).splitlines()
+        lines = emit_fit_curve(NbParams(0.0, 0.5, 3.0, 1), self.truth).splitlines()
         taus = {line.split(",")[1] for line in lines[1:]}
         assert taus == {"3.0"}
 
     def test_true_column(self):
         fit = NbParams(5.0, 0.45, 6.1, 20)
-        truth = NbParams(7.0, 0.4, 6.0, 25)
-        lines = emit_fit_curve(fit, truth, grid_size=3).splitlines()
+        lines = emit_fit_curve(fit, self.truth).splitlines()
         assert lines[0] == "t,tau_fit,tau_true"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
-
-    def test_rejects_tiny_grid(self):
-        with pytest.raises(ValueError):
-            emit_fit_curve(NbParams(1.0, 0.5, 1.0, 1), grid_size=1)
+        row = {line.split(",")[0]: line.split(",")[2] for line in lines[1:]}
+        assert float(row["0.4"]) == 6.0
 
 
 class TestOutputs:

@@ -183,10 +183,9 @@ class TestParseSettings:
         assert _parse_settings([1, 5]) == [1, 5]
 
     def test_rejects_garbage(self):
+        # unknown ids such as "0,9" parse; bench rejects them (TestBench)
         with pytest.raises(ValueError):
             _parse_settings("one,two")
-        with pytest.raises(ValueError):
-            _parse_settings("0,9")
         with pytest.raises(ValueError):
             _parse_settings("")
 
@@ -309,6 +308,24 @@ class TestFit:
             warnings.simplefilter("error")
             assert run(argv) == 0
 
+    @pytest.mark.parametrize("out", ["nodir/f.json", "."])
+    def test_bad_out_rejected_before_any_restart(self, tmp_path, capsys, monkeypatch, out):
+        calls = []
+        optimize = swarmfit.bench.optimize
+        monkeypatch.setattr(swarmfit.bench, "optimize",
+                            lambda *args: calls.append(1) or optimize(*args))
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+        out = tmp_path / out
+        before = sorted(tmp_path.rglob("*"))
+        argv = ["fit", "--data", data, "--topology", "gbest", "--restarts", 3, "--iters", 5,
+                "--out", out]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("swarmfit: error:") and str(out) in err, err
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_unset_tuning_flags_keep_library_defaults(self, tmp_path):
         data = tmp_path / "data.csv"
         out = tmp_path / "fit.json"
@@ -367,10 +384,48 @@ class TestBench:
         assert len(doc["summaries"]) == 2
 
     def test_bad_settings_list(self, tmp_path, capsys):
-        code = run(["bench", "--settings", "1,9", "--data-seed", 1, "--seed", 1,
-                    "--out-dir", tmp_path / "b"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+        for settings in ("1,9", "0,9"):
+            code = run(["bench", "--settings", settings, "--data-seed", 1, "--seed", 1,
+                        "--out-dir", tmp_path / "b"])
+            assert code == 1
+            assert "swarmfit: error: setting must be in 1..6" in capsys.readouterr().err
+            assert not (tmp_path / "b").exists()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def empty_k_boxes(draw):
+    """Finite (k_min, k_max) with k_min >= k_max."""
+    a, b = draw(FINITE), draw(FINITE)
+    return max(a, b), min(a, b)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(k_box=empty_k_boxes(), command=st.sampled_from(["fit", "bench"]), via=st.booleans())
+def test_empty_k_box_exits_1(k_box, command, via):
+    """k_min >= k_max, by flag or by --config, exits 1 naming the k bounds."""
+    k_min, k_max = k_box
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "fit":
+            (tmp / "data.csv").write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+            argv = ["fit", "--data", tmp / "data.csv", "--topology", "lbest",
+                    "--out", tmp / "f.json"]
+        else:
+            argv = ["bench", "--settings", 4, "--data-seed", 1, "--seed", 1,
+                    "--out-dir", tmp / "b"]
+        if via:
+            (tmp / "cfg.json").write_text(json.dumps({"k_min": k_min, "k_max": k_max}))
+            argv += ["--config", tmp / "cfg.json"]
+        else:
+            argv += [f"--k-min={k_min!r}", f"--k-max={k_max!r}"]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + TINY)
+    assert code == 1
+    assert err.getvalue() == "swarmfit: error: k_bounds must satisfy lower < upper\n"
 
 
 class TestConfigFile:

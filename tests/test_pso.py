@@ -110,21 +110,21 @@ class TestInitSwarm:
     def test_bounds_respected(self):
         dom = BoxDomain([0.0], [1.0])
         cfg = SwarmConfig(n_particles=10, seed=11)
-        swarm = init_swarm(dom, cfg, sphere)
+        swarm = init_swarm(dom, cfg, sphere, np.random.default_rng(11))
         assert np.all(swarm.positions >= 0.0) and np.all(swarm.positions <= 1.0)
         assert np.all(swarm.velocities >= -0.5) and np.all(swarm.velocities <= 0.5)
 
     def test_degenerate_domain(self):
         dom = BoxDomain([3.0], [3.0])
-        swarm = init_swarm(dom, SwarmConfig(seed=1), sphere)
+        swarm = init_swarm(dom, SwarmConfig(seed=1), sphere, np.random.default_rng(1))
         assert np.all(swarm.positions == 3.0)
         assert np.all(swarm.velocities == 0.0)
 
     def test_seed_reproducibility(self):
         dom = BoxDomain([-2.0, 0.0], [2.0, 5.0])
         cfg = SwarmConfig(seed=99)
-        a = init_swarm(dom, cfg, sphere)
-        b = init_swarm(dom, cfg, sphere)
+        a = init_swarm(dom, cfg, sphere, np.random.default_rng(99))
+        b = init_swarm(dom, cfg, sphere, np.random.default_rng(99))
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
         assert np.array_equal(a.pbest_values, b.pbest_values)
@@ -132,14 +132,15 @@ class TestInitSwarm:
 
     def test_personal_best_starts_at_position(self):
         dom = BoxDomain([-1.0, -1.0], [1.0, 1.0])
-        swarm = init_swarm(dom, SwarmConfig(seed=5), sphere)
+        swarm = init_swarm(dom, SwarmConfig(seed=5), sphere, np.random.default_rng(5))
         assert np.array_equal(swarm.pbest_positions, swarm.positions)
         for i in range(swarm.n_particles):
             assert swarm.pbest_values[i] == sphere(swarm.positions[i])
 
     def test_non_finite_objective_maps_to_inf(self):
         dom = BoxDomain([0.0], [1.0])
-        swarm = init_swarm(dom, SwarmConfig(seed=2), lambda x: float("nan"))
+        swarm = init_swarm(dom, SwarmConfig(seed=2), lambda x: float("nan"),
+                           np.random.default_rng(2))
         assert np.all(np.isinf(swarm.pbest_values))
         # all-inf swarm: no personal best ever improves, and the lowest index
         # holds the (degenerate) best
@@ -177,11 +178,12 @@ class TestBatchedObjective:
         objective = batched(lambda x: result(x.shape[0]))
         config = SwarmConfig(n_particles=4, m_neighbors=2)
         with pytest.raises(ValueError, match=r"must return shape \(4,\)"):
-            init_swarm(BoxDomain([0.0], [1.0]), config, objective)
+            init_swarm(BoxDomain([0.0], [1.0]), config, objective, np.random.default_rng(0))
 
     def test_non_finite_values_map_to_inf_per_element(self):
         objective = batched(lambda x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]))
-        swarm = init_swarm(BoxDomain([0.0], [1.0]), SwarmConfig(seed=5), objective)
+        swarm = init_swarm(BoxDomain([0.0], [1.0]), SwarmConfig(seed=5), objective,
+                           np.random.default_rng(5))
         x = swarm.positions[:, 0]
         assert 0 < np.count_nonzero(x > 0.5) < x.size
         assert np.array_equal(swarm.pbest_values, np.where(x > 0.5, np.inf, x))

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from swarmfit import generate_dataset, get_setting
 from swarmfit.model import nb_log_pmf, sigmoid_mean
-from swarmfit.simulate import builtin_settings, sample_nb, sample_pseudotimes
+from swarmfit.simulate import sample_nb
 
 
 class TestBuiltinSettings:
@@ -18,8 +20,7 @@ class TestBuiltinSettings:
     }
 
     def test_six_settings(self):
-        settings = builtin_settings()
-        assert [s.id for s in settings] == [1, 2, 3, 4, 5, 6]
+        assert [get_setting(i).id for i in range(1, 7)] == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("setting_id", list(expected))
     def test_values(self, setting_id):
@@ -27,7 +28,7 @@ class TestBuiltinSettings:
         assert (s.C, s.k_g, s.t_g, s.mu_g, s.phi_g) == self.expected[setting_id]
 
     def test_total_observations(self):
-        assert sum(s.C for s in builtin_settings()) == 1500
+        assert sum(get_setting(i).C for i in range(1, 7)) == 1500
 
     def test_unknown_setting(self):
         with pytest.raises(ValueError):
@@ -38,22 +39,23 @@ class TestBuiltinSettings:
 
 class TestSamplePseudotimes:
     def test_support(self):
-        t = sample_pseudotimes(500, np.random.default_rng(0))
+        t = generate_dataset(replace(get_setting(1), C=500), 0).times
         assert t.shape == (500,)
         assert np.all((t >= 0.0) & (t <= 1.0))
 
     def test_deterministic(self):
-        a = sample_pseudotimes(100, np.random.default_rng(9))
-        b = sample_pseudotimes(100, np.random.default_rng(9))
+        a = generate_dataset(get_setting(4), 9).times
+        b = generate_dataset(get_setting(4), 9).times
         assert np.array_equal(a, b)
 
     def test_mean_near_half(self):
-        t = sample_pseudotimes(10_000, np.random.default_rng(1))
+        t = generate_dataset(replace(get_setting(1), C=10_000), 1).times
         assert abs(t.mean() - 0.5) < 0.015
 
     def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            sample_pseudotimes(0, np.random.default_rng(0))
+        for C in (0, -1):
+            with pytest.raises(ValueError):
+                generate_dataset(replace(get_setting(1), C=C), 0)
 
 
 class TestSampleNb:
