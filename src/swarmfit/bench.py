@@ -28,6 +28,7 @@ from .model import (
     Dataset,
     NbParams,
     build_domain,
+    check_fit_bounds,
     decode_position,
     make_objective,
     save_dataset,
@@ -66,9 +67,10 @@ class RunSummary:
     per_restart: list[tuple[float, np.ndarray]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Full benchmark configuration: restart count, swarm tuning, box knobs."""
+    """Full benchmark configuration: restart count, swarm tuning, box knobs.
+    Immutable and checked when built, the box knobs by check_fit_bounds."""
 
     restarts: int = 50
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
@@ -84,6 +86,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        check_fit_bounds(self.k_bounds, self.phi_max)
+        object.__setattr__(self, "k_bounds", tuple(self.k_bounds))
 
 
 def aggregate_restarts(

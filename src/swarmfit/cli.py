@@ -176,11 +176,11 @@ def _cmd_simulate(options: dict) -> int:
 
 
 def _cmd_fit(options: dict) -> int:
+    cfg = _experiment_config(options)
     out = Path(options["out"])
     if out.is_dir() or not out.parent.is_dir():
         raise ValueError(f"--out must name a file in an existing directory, got {out}")
     data = load_dataset(options["data"])
-    cfg = _experiment_config(options)
     summary = run_restarts(data, cfg, options["topology"])
     doc = {"config": config_to_dict(cfg), "summary": summary_to_dict(summary)}
     out.write_text(json.dumps(doc, indent=2) + "\n")

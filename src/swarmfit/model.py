@@ -62,9 +62,9 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
     return raw[start : start + size].reshape(shape)
 
 
-@dataclass
+@dataclass(frozen=True)
 class NbParams:
-    """Model parameter vector (k_g, t_g, mu_g, phi_g).
+    """Model parameter vector (k_g, t_g, mu_g, phi_g); immutable.
 
     k_g: activation strength (sign gives up- vs down-regulation).
     t_g: activation time, in pseudotime units.
@@ -78,27 +78,27 @@ class NbParams:
     phi_g: int
 
     def __post_init__(self):
-        self.k_g = float(self.k_g)
-        self.t_g = float(self.t_g)
-        self.mu_g = float(self.mu_g)
+        for name in ("k_g", "t_g", "mu_g"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not float(self.phi_g).is_integer():
             raise ValueError(f"phi_g must be an integer, got {self.phi_g}")
-        self.phi_g = int(self.phi_g)
+        object.__setattr__(self, "phi_g", int(self.phi_g))
         if self.mu_g <= 0:
             raise ValueError("mu_g must be positive")
         if self.phi_g < 1:
             raise ValueError("phi_g must be >= 1")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Paired (pseudotime, count) observations for a single gene.
 
-    Immutable after construction.  The likelihood terms free of tau sum to
-    one float per integer phi, computed from the distinct counts and their
-    multiplicities and cached, so each evaluation only does per-cell work
-    that depends on tau.  times and the float copy of the counts are held in
-    64-byte-aligned copies (see _aligned_empty).
+    Immutable: times, counts and their private copies are read-only arrays.
+    The likelihood terms free of tau sum to one float per integer phi,
+    computed from the distinct counts and their multiplicities and cached
+    as needed, so each evaluation only does per-cell work that depends on
+    tau.  times and the float copy of the counts are held in 64-byte-aligned
+    copies (see _aligned_empty).
     """
 
     times: np.ndarray
@@ -127,15 +127,16 @@ class Dataset:
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(np.isfinite(counts)) or np.any(counts != np.floor(counts)):
                 raise ValueError("counts must be integers")
-        self.counts = counts.astype(np.int64)
-        self.times = _aligned_empty(times.shape)
-        self.times[:] = times
-        self._y = _aligned_empty(self.counts.shape)
-        self._y[:] = self.counts
-        distinct, mult = np.unique(self.counts, return_counts=True)
-        self._distinct = distinct.astype(float)
-        self._mult = mult.astype(float)
-        self._phi_cache = {}
+        counts = counts.astype(np.int64)
+        t, y = _aligned_empty(times.shape), _aligned_empty(counts.shape)
+        t[:], y[:] = times, counts
+        distinct, mult = np.unique(counts, return_counts=True)
+        arrays = {"times": t, "counts": counts, "_y": y,
+                  "_distinct": distinct.astype(float), "_mult": mult.astype(float)}
+        for name, array in arrays.items():
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "_phi_cache", {})
 
     def __len__(self) -> int:
         return self.times.size
@@ -321,6 +322,31 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
     return float(_nll_fn(data)(ktm, np.array([float(params.phi_g)]))[0])
 
 
+def check_fit_bounds(k_bounds, phi_max) -> tuple[float, float]:
+    """Check the caller-supplied k bounds and phi_max of the fit box; return
+    the k bounds as floats.
+
+    phi_max is at most MAX_COUNT (2**53), the largest integer a float holds
+    exactly, since the box and the likelihood hold phi as a float.
+    ExperimentConfig calls this when it is built, before any data is made
+    or read, and build_domain calls it for callers that pass bounds directly.
+    """
+    k_lo, k_hi = float(k_bounds[0]), float(k_bounds[1])
+    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
+        raise ValueError(f"k_bounds must be finite, got ({k_lo}, {k_hi})")
+    if not k_lo < k_hi:
+        raise ValueError("k_bounds must satisfy lower < upper")
+    if not math.isfinite(k_hi - k_lo):  # which BoxDomain would reject
+        raise ValueError(
+            f"domain span upper - lower must be finite, got k_bounds ({k_lo}, {k_hi})"
+        )
+    if phi_max < 1:
+        raise ValueError("phi_max must be >= 1")
+    if phi_max > MAX_COUNT:  # before float(phi_max), which fails past 1.8e308
+        raise ValueError(f"phi_max must be at most 2**53 = {MAX_COUNT}")
+    return k_lo, k_hi
+
+
 def build_domain(
     data: Dataset,
     k_bounds: tuple[float, float] = DEFAULT_K_BOUNDS,
@@ -331,19 +357,10 @@ def build_domain(
     The t box is the observed pseudotime range and the mu box is half the
     observed count range; k and phi bounds are caller-supplied knobs.  A
     zero minimum count would force mu to 0, so the mu lower bound is
-    guarded at MU_FLOOR.  phi_max is at most MAX_COUNT (2**53), the largest
-    integer a float holds exactly, since the box and the likelihood hold phi
-    as a float.
+    guarded at MU_FLOOR.  The k bounds and phi_max are checked by
+    check_fit_bounds.
     """
-    k_lo, k_hi = float(k_bounds[0]), float(k_bounds[1])
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        raise ValueError(f"k_bounds must be finite, got ({k_lo}, {k_hi})")
-    if not k_lo < k_hi:
-        raise ValueError("k_bounds must satisfy lower < upper")
-    if phi_max < 1:
-        raise ValueError("phi_max must be >= 1")
-    if phi_max > MAX_COUNT:  # before float(phi_max), which fails past 1.8e308
-        raise ValueError(f"phi_max must be at most 2**53 = {MAX_COUNT}")
+    k_lo, k_hi = check_fit_bounds(k_bounds, phi_max)
     t_lo, t_hi = float(data.times.min()), float(data.times.max())
     y_min = int(data.counts.min())
     y_max = int(data.counts.max())

@@ -25,7 +25,8 @@ Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
 so every evaluated point is feasible.  That holds also where the velocity
 update overflows, on a box whose span is near the float maximum: a
-coordinate that moves to +-inf or nan is absorbed at a bound.
+coordinate that moves to +-inf or nan is absorbed at a bound, and numpy's
+overflow warnings from the swarm's own arithmetic are silenced.
 """
 
 from __future__ import annotations
@@ -47,19 +48,18 @@ class Topology(str, Enum):
     LBEST = "lbest"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BoxDomain:
-    """Closed per-dimension bounds defining the feasible search box."""
+    """Closed per-dimension bounds of the feasible search box; immutable, read-only."""
 
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        self.validate()
-
-    def validate(self) -> None:
+        for name in ("lower", "upper"):
+            bound = np.array(getattr(self, name), dtype=float)
+            bound.flags.writeable = False
+            object.__setattr__(self, name, bound)
         if self.lower.ndim != 1 or self.upper.ndim != 1:
             raise ValueError("domain bounds must be 1-d vectors")
         if self.lower.size != self.upper.size or self.lower.size < 1:
@@ -86,7 +86,7 @@ class BoxDomain:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwarmConfig:
     """Tuning parameters for one optimization run.
 
@@ -94,7 +94,8 @@ class SwarmConfig:
     coefficients.  They must be finite; values outside [0, 2] are unusual
     and trigger a warning at construction rather than an error.  ``m_neighbors`` is only
     consulted by the local-best topology.  The random coefficients r1, r2
-    are drawn once per particle and dimension.
+    are drawn once per particle and dimension.  Immutable and checked once,
+    here; ``dataclasses.replace`` derives a variant and checks it.
     """
 
     w: float = 0.9
@@ -107,16 +108,7 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.topology = Topology(self.topology)
-        self.validate()
-        for name in ("w", "c1", "c2"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 2.0:
-                # one warning location, which Python's default filter
-                # reports once per process however many configs are built
-                warnings.warn(f"{name}={value} is outside the usual [0, 2] range")
-
-    def validate(self) -> None:
+        object.__setattr__(self, "topology", Topology(self.topology))
         if self.n_particles < 1:
             raise ValueError("n_particles must be >= 1")
         if self.n_iterations < 1:
@@ -131,6 +123,10 @@ class SwarmConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+            if not 0.0 <= value <= 2.0:
+                # one warning location, which Python's default filter
+                # reports once per process however many configs are built
+                warnings.warn(f"{name}={value} is outside the usual [0, 2] range")
 
 
 @dataclass(eq=False)
@@ -228,6 +224,34 @@ def position_update(x, v_new, domain: BoxDomain):
     return position, velocity
 
 
+def _squared_distances(columns: np.ndarray) -> np.ndarray:
+    """(n, n) sums of squared coordinate differences between particles, from
+    their coordinates as the rows of columns (d, n)."""
+    # one (n, n) plane of squared differences per dimension, added in
+    # dimension order: for d < 8 that is how np.linalg.norm adds over the last
+    # axis, so distances and their ties match it bit for bit (from d = 8 numpy
+    # adds pairwise and the last bit can differ)
+    squared = columns[:, None, :] - columns[:, :, None]
+    np.multiply(squared, squared, squared)
+    sums = squared[0]
+    for plane in squared[1:]:
+        sums += plane
+    return sums
+
+
+def _rescaled_distances(columns: np.ndarray) -> np.ndarray:
+    """Distances between finite particles whose sums of squares overflow,
+    computed on the coordinates times 2**-e, with the smallest e that keeps
+    every sum finite.  Scaling by a power of two is exact short of
+    subnormals, so no distance changes its place in the order."""
+    e0 = np.frexp(np.abs(columns).max())[1]  # at 2**-e0 every |x| < 1: no sum overflows
+    largest = _squared_distances(np.ldexp(columns, -e0)).max()
+    # scaled by 4**j, a sum below 2**E stays finite iff E + 2*j <= 1024
+    e = e0 - (1024 - np.frexp(largest)[1]) // 2
+    distances = _squared_distances(np.ldexp(columns, -e))
+    return np.sqrt(distances, distances)
+
+
 def select_neighborhood_best(swarm: Swarm, m: int):
     """Best personal-best record among the m nearest particles, for every particle.
 
@@ -244,21 +268,16 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     unless the row ties at its m-th distance or holds a nan.  So when every
     row has exactly m members, these sets are the neighborhoods; otherwise
     every row is ranked by a stable argsort, which breaks the tie toward the
-    lower index.
+    lower index.  On a box whose span passes about 1.3e154 the squares can
+    overflow, which the caller silences; a row whose m-th distance is then
+    inf ties at inf, so the ranking is taken on rescaled distances
+    (_rescaled_distances) instead.
     """
     n = swarm.n_particles
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    # one (n, n) plane of squared differences per dimension, added in
-    # dimension order: for d < 8 that is how np.linalg.norm adds over the last
-    # axis, so distances and their ties match it bit for bit (from d = 8 numpy
-    # adds pairwise and the last bit can differ)
     columns = swarm.positions.T.copy()
-    squared = columns[:, None, :] - columns[:, :, None]
-    np.multiply(squared, squared, squared)
-    distances = squared[0]
-    for plane in squared[1:]:
-        distances += plane
+    distances = _squared_distances(columns)
     np.sqrt(distances, distances)
     # not d <= kth: a row whose m-th distance is nan would get no member, and
     # another row's surplus could hide that from the count
@@ -267,6 +286,8 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     if members.size == n * m:
         hoods = members.reshape(n, m)
     else:
+        if np.isinf(kth).any() and np.isfinite(columns).all():
+            distances = _rescaled_distances(columns)
         hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
     # ascending index order inside each neighborhood makes argmin's
     # first-minimum rule break value ties toward the lower index
@@ -292,23 +313,18 @@ def step(
     r1 = rng.random((n, d))
     r2 = rng.random((n, d))
 
-    if config.topology is Topology.GBEST:
-        p_ref = swarm.pbest_positions[np.argmin(swarm.pbest_values)]
-    else:
-        p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
-
-    v_new = velocity_update(
-        swarm.velocities,
-        swarm.positions,
-        swarm.pbest_positions,
-        p_ref,
-        config.w,
-        config.c1,
-        config.c2,
-        r1,
-        r2,
-    )
-    positions, velocities = position_update(swarm.positions, v_new, domain)
+    # on a box whose span is near the float maximum the distances and the
+    # velocity may overflow: position_update absorbs an inf or nan coordinate
+    # and select_neighborhood_best ranks overflowed distances again, so their
+    # warnings are silenced; the objective's are not
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.topology is Topology.GBEST:
+            p_ref = swarm.pbest_positions[np.argmin(swarm.pbest_values)]
+        else:
+            p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
+        v_new = velocity_update(swarm.velocities, swarm.positions, swarm.pbest_positions,
+                                p_ref, config.w, config.c1, config.c2, r1, r2)
+        positions, velocities = position_update(swarm.positions, v_new, domain)
     values = _evaluate_all(objective, positions)
 
     swarm.positions = positions
@@ -326,10 +342,9 @@ def optimize(objective: Objective, domain: BoxDomain, config: SwarmConfig) -> Op
     produce identical results.  The returned trace holds the lowest
     personal-best value after each iteration and is monotonically
     non-increasing.  The result is the lowest personal best at the end;
-    when several particles tie at that value, the lowest-index one.
+    when several particles tie at that value, the lowest-index one.  Domain
+    and config are checked when built and cannot change, so it checks neither.
     """
-    domain.validate()
-    config.validate()
     rng = np.random.default_rng(config.seed)
     swarm = init_swarm(domain, config, objective, rng)
     trace = np.empty(config.n_iterations)

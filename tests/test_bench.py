@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +20,8 @@ from swarmfit.bench import (
     summary_to_dict,
     write_bench_outputs,
 )
-from swarmfit.model import NbParams, load_dataset
-from swarmfit.pso import Topology
+from swarmfit.model import Dataset, NbParams, build_domain, load_dataset, make_objective
+from swarmfit.pso import BoxDomain, Topology
 
 SMALL = ExperimentConfig(
     restarts=4,
@@ -206,6 +209,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(restarts=0)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"k_bounds": (3.0, 1.0)}, "k_bounds must satisfy lower < upper"),
+            ({"k_bounds": (-math.inf, 1.0)}, "k_bounds must be finite"),
+            ({"k_bounds": (-1e308, 1e308)}, "domain span upper - lower must be finite"),
+            ({"phi_max": 0}, "phi_max must be >= 1"),
+            ({"phi_max": 2**53 + 1}, "phi_max must be at most 2**53"),
+        ],
+    )
+    def test_invalid_box_knobs_rejected_at_construction(self, knobs, message):
+        # the same check build_domain makes, so a bad knob is caught before
+        # write_bench_outputs creates anything
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(**knobs)
+
 
 class TestResultsTable:
     def test_reference_row(self):
@@ -328,3 +347,56 @@ class TestOutputs:
         assert doc["best"] == s.best
         assert doc["best_params"]["phi_g"] == s.best_params.phi_g
         assert len(doc["per_restart"]) == SMALL.restarts
+
+
+class TestInputsAreValues:
+    """Configs, domains, datasets and parameters are checked when built and
+    cannot change afterwards."""
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda: BoxDomain([0.0], [1.0]), "lower"),
+            (lambda: SwarmConfig(), "n_particles"),
+            (lambda: ExperimentConfig(), "k_bounds"),
+            (lambda: NbParams(1.0, 0.5, 2.0, 3), "phi_g"),
+            (lambda: Dataset([0.1, 0.5], [1, 5]), "times"),
+        ],
+    )
+    def test_fields_cannot_be_assigned(self, make, name):
+        value = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+
+    def test_bound_and_data_arrays_are_read_only(self):
+        data = Dataset(np.array([0.1, 0.5, 0.9]), np.array([1, 5, 3]))
+        domain = build_domain(data)
+        for array in (domain.lower, domain.upper, data.times, data.counts,
+                      data._y, data._distinct, data._mult):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.5
+
+    def test_an_objective_cannot_go_stale(self):
+        # an in-place edit of times after make_objective used to leave a
+        # call of several rows, which evaluates on the objective's own copy
+        # of t, and a point call disagreeing: 234.18 against 281.34 here
+        data = generate_dataset(get_setting(4), 1)
+        objective = make_objective(data)
+        x = np.array([7.0, 0.4, 6.0, 25.0])
+        with pytest.raises(ValueError, match="read-only"):
+            data.times[:] = data.times * 2.0
+        assert objective(np.stack([x, x]))[0] == objective(x)
+
+    def test_the_callers_arrays_are_copied_and_stay_writeable(self):
+        lower, times = np.zeros(1), np.array([0.1, 0.5])
+        domain = BoxDomain(lower, np.ones(1))
+        data = Dataset(times, np.array([1, 5]))
+        lower[0], times[0] = 0.5, 0.9
+        assert domain.lower[0] == 0.0 and data.times[0] == 0.1
+
+    def test_replace_derives_a_checked_variant(self):
+        assert dataclasses.replace(SwarmConfig(), topology="lbest").topology is Topology.LBEST
+        with pytest.raises(ValueError, match="n_particles"):
+            dataclasses.replace(SwarmConfig(), n_particles=0)
+        with pytest.raises(ValueError, match="k_bounds"):
+            dataclasses.replace(ExperimentConfig(), k_bounds=(1.0, 1.0))

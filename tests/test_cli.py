@@ -47,7 +47,8 @@ def test_import_loads_no_scipy():
 
 
 def test_unusual_coefficient_warns_once_per_run(tmp_path):
-    # optimize validates the config again; that check must not warn again
+    # each restart derives its config with dataclasses.replace, which checks it
+    # again; those checks must not warn again
     data = tmp_path / "data.csv"
     data.write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
     proc = run_python("-m", "swarmfit.cli", "fit", "--data", data, "--topology", "gbest",
@@ -308,6 +309,18 @@ class TestFit:
             warnings.simplefilter("error")
             assert run(argv) == 0
 
+    def test_huge_span_lbest_swarm_fits_without_warnings(self, tmp_path):
+        # on this span the swarm's velocity, move and lbest distances overflow
+        # too, which used to print five numpy RuntimeWarnings
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n0,1\n1e308,5\n0.5,3\n")
+        argv = ["fit", "--data", data, "--topology", "lbest", "--out", tmp_path / "f.json",
+                "--w", 2, "--c1", 2, "--c2", 2, "--particles", 20, "--m", 3,
+                "--restarts", 20, "--iters", 50]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 0
+
     @pytest.mark.parametrize("out", ["nodir/f.json", "."])
     def test_bad_out_rejected_before_any_restart(self, tmp_path, capsys, monkeypatch, out):
         calls = []
@@ -411,11 +424,14 @@ def test_empty_k_box_exits_1(k_box, command, via):
         tmp = Path(tmp)
         if command == "fit":
             (tmp / "data.csv").write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
-            argv = ["fit", "--data", tmp / "data.csv", "--topology", "lbest",
-                    "--out", tmp / "f.json"]
+            out = tmp / "f.json"
+            argv = ["fit", "--data", tmp / "data.csv", "--topology", "lbest", "--out", out]
         else:
-            argv = ["bench", "--settings", 4, "--data-seed", 1, "--seed", 1,
-                    "--out-dir", tmp / "b"]
+            # settings 4 and 5: the k box used to be checked only when the
+            # first cell was fitted, after data_4.csv was written
+            out = tmp / "b"
+            argv = ["bench", "--settings", "4,5", "--data-seed", 1, "--seed", 1,
+                    "--out-dir", out]
         if via:
             (tmp / "cfg.json").write_text(json.dumps({"k_min": k_min, "k_max": k_max}))
             argv += ["--config", tmp / "cfg.json"]
@@ -424,8 +440,43 @@ def test_empty_k_box_exits_1(k_box, command, via):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             code = run(argv + TINY)
+        assert not out.exists()
     assert code == 1
     assert err.getvalue() == "swarmfit: error: k_bounds must satisfy lower < upper\n"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["fit", "bench"]),
+    key=st.sampled_from(["w", "c1", "c2"]),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+    via=st.booleans(),
+    others=st.dictionaries(st.sampled_from(["w", "c1", "c2"]), st.floats(0.0, 2.0)),
+)
+def test_non_finite_coefficient_exits_1_naming_it(command, key, value, via, others):
+    """A nan or +-inf --w, --c1 or --c2, by flag or by --config (JSON NaN and
+    Infinity), exits 1 naming the coefficient, and writes nothing."""
+    coefficients = {**others, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == "fit":
+            (tmp / "data.csv").write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+            out = tmp / "f.json"
+            argv = ["fit", "--data", tmp / "data.csv", "--topology", "gbest", "--out", out]
+        else:
+            out = tmp / "b"
+            argv = ["bench", "--settings", 4, "--data-seed", 1, "--seed", 1, "--out-dir", out]
+        if via:
+            (tmp / "cfg.json").write_text(json.dumps(coefficients))
+            argv += ["--config", tmp / "cfg.json"]
+        else:
+            argv += [f"--{k}={v!r}" for k, v in coefficients.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = run(argv + TINY)
+        assert not out.exists()
+    assert code == 1
+    assert err.getvalue() == f"swarmfit: error: {key} must be finite, got {value}\n"
 
 
 class TestConfigFile:
@@ -495,7 +546,9 @@ class TestConfigFile:
 
 # cells a fit accepts, the box edges of the float range among them, and cells
 # it must reject with a diagnostic
-GOOD_TIMES = st.one_of(st.floats(0.0, 1.0), st.sampled_from([1e308, -1e308]))
+GOOD_TIMES = st.one_of(
+    st.floats(0.0, 1.0), st.floats(-1e308, 1e308), st.sampled_from([1e308, -1e308])
+)
 GOOD_COUNTS = st.one_of(st.integers(0, 50), st.integers(2**53 - 2, 2**53))
 BAD_TIMES = st.sampled_from([math.nan, math.inf, -math.inf])
 BAD_COUNTS = st.one_of(
@@ -516,15 +569,42 @@ def csv_rows(draw):
     return rows
 
 
+# k boxes out to +-1e300, where the swarm's velocities, moves and lbest
+# distances overflow
+K_BOUNDS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1e300, 1e300]))
+COEFFICIENTS = st.one_of(st.just(2.0), st.floats(0.0, 2.0))
+
+
+@st.composite
+def fit_flags(draw):
+    """Topology, k box, coefficients and a small swarm: at most 5 particles
+    and at most 2 restarts and iterations."""
+    particles = draw(st.integers(1, 5))
+    k_box = sorted(draw(st.lists(K_BOUNDS, min_size=2, max_size=2, unique=True)))
+    if draw(st.integers(0, 9)) == 0:  # now and then a reversed box
+        k_box.reverse()
+    flags = {
+        "--topology": draw(st.sampled_from(["gbest", "lbest"])),
+        "--k-min": k_box[0], "--k-max": k_box[1],
+        "--w": draw(COEFFICIENTS), "--c1": draw(COEFFICIENTS), "--c2": draw(COEFFICIENTS),
+        "--particles": particles, "--m": draw(st.integers(1, particles)),
+        "--restarts": draw(st.integers(1, 2)), "--iters": draw(st.integers(1, 2)),
+    }
+    return [f"{flag}={value}" for flag, value in flags.items()]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-@given(rows=csv_rows())
-def test_any_csv_runs_or_exits_1_with_diagnostic(rows):
-    """A t,y CSV either fits or exits 1 with a diagnostic, never a traceback."""
+@given(rows=csv_rows(), flags=fit_flags())
+def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
+    """A t,y CSV, with t out to +-1e308, either fits with no numpy
+    RuntimeWarning or exits 1 with a diagnostic, never a traceback, whatever
+    the topology, the k box and the swarm."""
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
         data.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows))
         err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            code = run(["fit", "--data", data, "--topology", "gbest",
-                        "--out", Path(tmp) / "f.json"] + TINY)
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["fit", "--data", data, "--out", Path(tmp) / "f.json", *flags])
     assert code == 0 or (code == 1 and "swarmfit: error: " in err.getvalue()), err.getvalue()
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -3,7 +3,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from swarmfit import BoxDomain, SwarmConfig, optimize
@@ -287,8 +287,8 @@ def test_every_evaluated_position_is_finite_and_in_the_box(case):
         seen.append(x.copy())
         return float(zlib.crc32(x.tobytes()) % 1000)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow this is about
-        optimize(scattered, domain, config)
+    # step silences the overflow this is about: a warning here fails the test
+    optimize(scattered, domain, config)
     seen = np.array(seen)
     assert np.isfinite(seen).all()
     assert (seen >= domain.lower).all() and (seen <= domain.upper).all()
@@ -458,6 +458,33 @@ class TestSelectNeighborhoodBest:
         assert pos.tobytes() == ref_pos.tobytes()
         assert val.tobytes() == ref_val.tobytes()
 
+    def test_overflowing_distances_ranked_by_distance(self):
+        # on a +-1e300 box every pair below is farther apart than about
+        # 1.3e154, so each squared distance overflows to inf; tied there, the
+        # neighbors used to be picked by index: {0, 1}, {0, 1}, {0, 2}, {0, 3}
+        swarm = make_swarm([1e300, -1e300, 5e299, -6e299], [3.0, 2.0, 1.0, 0.0])
+        with np.errstate(over="ignore"):  # as step silences it
+            pos, val = select_neighborhood_best(swarm, 2)
+        # by distance the neighborhoods are {0, 2}, {1, 3}, {0, 2} and {1, 3}
+        assert val.tolist() == [1.0, 0.0, 1.0, 0.0]
+        assert pos[:, 0].tolist() == [5e299, -6e299, 5e299, -6e299]
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=lbest_swarms())
+    def test_neighborhoods_keep_when_scaled_past_overflow(self, case):
+        """Scaled by a power of two, up to where the squared distances
+        overflow, a finite swarm keeps its neighborhoods."""
+        swarm, m = case
+        top = np.abs(swarm.positions).max()
+        assume(np.isfinite(top) and top > 0)
+        scaled = make_swarm(np.ldexp(swarm.positions, 1020 - np.frexp(top)[1]),
+                            swarm.pbest_values, pbest_positions=swarm.pbest_positions)
+        pos, val = select_neighborhood_best(swarm, m)
+        with np.errstate(over="ignore"):  # as step silences it
+            scaled_pos, scaled_val = select_neighborhood_best(scaled, m)
+        assert pos.tobytes() == scaled_pos.tobytes()
+        assert val.tobytes() == scaled_val.tobytes()
+
     def test_m_out_of_range(self):
         swarm = make_swarm([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -618,19 +645,23 @@ class TestOptimize:
         result = optimize(sphere, dom, cfg)
         assert result.best_value < 1e-2
 
-    def test_validation_happens_before_evaluation(self):
+    def test_huge_box_overflow_is_silent_but_the_objectives_warnings_show(self):
+        # w = c1 = c2 = 2 on spans near the float maximum: the velocity, the
+        # move and the lbest distances overflow, which step silences
+        dom = BoxDomain([0.0, -1e300], [1e308, 1e300])
+        cfg = SwarmConfig(w=2.0, c1=2.0, c2=2.0, n_particles=20, topology="lbest",
+                          m_neighbors=3, n_iterations=50, seed=1)
         calls = []
 
-        def spy(x):
+        def loud(x):
             calls.append(1)
-            return sphere(x)
+            if len(calls) > cfg.n_particles:  # inside step, not init_swarm
+                np.float64(1e300) * np.float64(1e300)
+            return float(zlib.crc32(x.tobytes()) % 1000)
 
-        dom = BoxDomain([0.0], [1.0])
-        cfg = SwarmConfig()
-        cfg.n_particles = 0  # bypass construction-time validation
-        with pytest.raises(ValueError):
-            optimize(spy, dom, cfg)
-        assert calls == []
+        with pytest.warns(RuntimeWarning, match="overflow") as caught:
+            optimize(loud, dom, cfg)
+        assert {str(w.message) for w in caught} == {"overflow encountered in scalar multiply"}
 
     def test_escapes_non_finite_region(self):
         dom = BoxDomain([0.0], [1.0])
