@@ -209,10 +209,10 @@ def write_bench_outputs(out_dir, cfg: ExperimentConfig, settings) -> list[RunSum
     """Run both topologies on each requested setting and write all artifacts
     under out_dir; return the summaries in setting order, gbest before lbest.
 
-    Every setting id is resolved, and an empty list rejected, before out_dir
-    is created.  Each dataset is generated once from cfg.data_seed and shared
-    by both topologies and all restarts, so only the swarm initialization
-    varies across the comparison.
+    Every setting id and the lbest swarm config are checked, and an empty
+    list rejected, before out_dir is created.  Each dataset is generated once
+    from cfg.data_seed and shared by both topologies and all restarts, so
+    only the swarm initialization varies across the comparison.
 
     Files: results.csv and params.csv (summary tables), one
     curve_<setting>_<topology>.csv per cell, data_<setting>.csv with the
@@ -221,6 +221,7 @@ def write_bench_outputs(out_dir, cfg: ExperimentConfig, settings) -> list[RunSum
     resolved = [get_setting(setting_id) for setting_id in settings]
     if not resolved:
         raise ValueError("settings must be non-empty")
+    replace(cfg.swarm, topology=Topology.LBEST)  # checks m_neighbors for the lbest cells
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summaries: list[RunSummary] = []

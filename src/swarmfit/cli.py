@@ -43,9 +43,7 @@ _TUNING = {
     "k_max": (float, "upper bound on activation strength"),
     "phi_max": (int, "upper bound on dispersion"),
 }
-# Command -> (help, {option key: (type, help)}, required keys).  A type of
-# None takes the value as given: "settings" is a string or a JSON list, which
-# _parse_settings reads.
+# Command -> (help, {option key: (type, help)}, required keys).
 _COMMANDS = {
     "simulate": ("generate one synthetic dataset", {
         "setting": (int, "scenario id, 1..6"),
@@ -60,7 +58,7 @@ _COMMANDS = {
         "out": (str, "output JSON path"),
     }, ("data", "topology", "out")),
     "bench": ("full benchmark over built-in settings", {
-        "settings": (None, "comma-separated ids or 'all'"),
+        "settings": (str, "comma-separated ids or 'all'"),
         "data_seed": (int, "dataset seed (u64)"),
         "seed": (int, "master seed for restart derivation"),
         "out_dir": (str, "output directory"),
@@ -71,7 +69,7 @@ _COMMANDS = {
 # k_max set ExperimentConfig.k_bounds together.
 _FIELDS = {
     SwarmConfig: {"w": "w", "c1": "c1", "c2": "c2", "particles": "n_particles",
-                  "iters": "n_iterations", "m": "m_neighbors"},
+                  "iters": "n_iterations", "m": "m_neighbors", "topology": "topology"},
     ExperimentConfig: {"restarts": "restarts", "phi_max": "phi_max",
                        "seed": "master_seed", "data_seed": "data_seed"},
 }
@@ -100,8 +98,6 @@ _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 def _coerce(source: str, key: str, value, kind):
     """Convert a config-file value to its option type, or raise ValueError naming the key."""
-    if kind is None:
-        return value
     if isinstance(value, _JSON_TYPES[kind]) and not isinstance(value, bool):
         try:
             return kind(value)
@@ -148,20 +144,12 @@ def _experiment_config(options: dict) -> ExperimentConfig:
     return ExperimentConfig(swarm=SwarmConfig(**fields[SwarmConfig]), **fields[ExperimentConfig])
 
 
-def _parse_settings(raw: str | list) -> list[int]:
-    if isinstance(raw, str):
-        if raw.strip().lower() == "all":
-            return [1, 2, 3, 4, 5, 6]
-        parts = [part for part in raw.split(",") if part.strip()]
-    elif isinstance(raw, list):
-        if not all(isinstance(p, int) and not isinstance(p, bool) for p in raw):
-            raise ValueError(f"settings list must hold integers, got {raw!r}")
-        parts = raw
-    else:
-        raise ValueError(f"settings must be a comma-separated string or a list, got {raw!r}")
+def _parse_settings(raw: str) -> list[int]:
+    if raw.strip().lower() == "all":
+        return [1, 2, 3, 4, 5, 6]
     try:
-        ids = [int(part) for part in parts]
-    except (TypeError, ValueError):
+        ids = [int(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
         raise ValueError(f"cannot parse settings list {raw!r}") from None
     if not ids:
         raise ValueError("settings list is empty")
@@ -181,7 +169,7 @@ def _cmd_fit(options: dict) -> int:
     if out.is_dir() or not out.parent.is_dir():
         raise ValueError(f"--out must name a file in an existing directory, got {out}")
     data = load_dataset(options["data"])
-    summary = run_restarts(data, cfg, options["topology"])
+    summary = run_restarts(data, cfg, cfg.swarm.topology)
     doc = {"config": config_to_dict(cfg), "summary": summary_to_dict(summary)}
     out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

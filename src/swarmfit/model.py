@@ -442,7 +442,8 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a ``t,y`` CSV.  Row order is irrelevant to the likelihood."""
+    """Read a ``t,y`` CSV.  Row order is irrelevant to the likelihood.  An
+    error names the file, and a bad row its line; counts are parsed as ints."""
     times: list[float] = []
     counts: list[int] = []
     with open(path, newline="") as fh:
@@ -450,13 +451,17 @@ def load_dataset(path) -> Dataset:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["t", "y"]:
             raise ValueError(f"{path}: expected CSV header 't,y'")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
-            times.append(float(row[0]))
-            counts.append(int(row[1]))
+        try:
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != 2:
+                    raise ValueError(f"malformed row {row!r}")
+                times.append(float(row[0]))
+                counts.append(int(row[1]))
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not times:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(times=np.array(times), counts=np.array(counts))
+    try:
+        return Dataset(times=np.array(times), counts=np.array(counts))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -92,10 +92,11 @@ class SwarmConfig:
 
     ``w``, ``c1`` and ``c2`` are the inertia, cognitive and social
     coefficients.  They must be finite; values outside [0, 2] are unusual
-    and trigger a warning at construction rather than an error.  ``m_neighbors`` is only
-    consulted by the local-best topology.  The random coefficients r1, r2
-    are drawn once per particle and dimension.  Immutable and checked once,
-    here; ``dataclasses.replace`` derives a variant and checks it.
+    and trigger a warning at construction rather than an error.  Only the
+    local-best topology uses ``m_neighbors``, so only there is it bounded by
+    ``n_particles``.  The random coefficients r1, r2 are drawn once per
+    particle and dimension.  Immutable and checked once, here;
+    ``dataclasses.replace`` derives a variant and checks it.
     """
 
     w: float = 0.9
@@ -113,10 +114,10 @@ class SwarmConfig:
             raise ValueError("n_particles must be >= 1")
         if self.n_iterations < 1:
             raise ValueError("n_iterations must be >= 1")
-        if not 1 <= self.m_neighbors <= self.n_particles:
-            raise ValueError(
-                f"m_neighbors must be in [1, n_particles], got {self.m_neighbors}"
-            )
+        if self.m_neighbors < 1:
+            raise ValueError(f"m_neighbors must be >= 1, got {self.m_neighbors}")
+        if self.topology is Topology.LBEST and self.m_neighbors > self.n_particles:
+            raise ValueError(f"lbest needs m_neighbors <= n_particles, got {self.m_neighbors}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("w", "c1", "c2"):

@@ -59,7 +59,7 @@ def test_unusual_coefficient_warns_once_per_run(tmp_path):
 
 
 # The CLI's surface, (command, flag, value type), written out apart from the
-# CLI's own option table.  "settings" is a list of ids: a string or a JSON list.
+# CLI's own option table.
 _TUNING_SURFACE = [
     ("--w", float), ("--c1", float), ("--c2", float), ("--particles", int),
     ("--iters", int), ("--m", int), ("--restarts", int), ("--k-min", float),
@@ -69,7 +69,7 @@ SURFACE = [
     *[("simulate", f, t) for f, t in [("--setting", int), ("--seed", int), ("--out", str)]],
     *[("fit", f, t) for f, t in [("--data", str), ("--topology", str), *_TUNING_SURFACE,
                                   ("--seed", int), ("--out", str)]],
-    *[("bench", f, t) for f, t in [("--settings", "settings"), ("--data-seed", int),
+    *[("bench", f, t) for f, t in [("--settings", str), ("--data-seed", int),
                                     ("--seed", int), ("--out-dir", str), *_TUNING_SURFACE]],
 ]
 # JSON values of the wrong type for each value type: a bool, a list, an object,
@@ -78,7 +78,6 @@ WRONG_JSON = {
     int: [True, [1], {"a": 1}, "1", 1.5],
     float: [False, [1.5], {"a": 1.5}, "1.5"],
     str: [True, ["x"], {"a": "x"}, 1, 1.5],
-    "settings": [True, [True], ["4"], {"a": 4}, 4, 4.5],
 }
 
 # Integer options, (command, flag) -> (the name a diagnostic gives, values one
@@ -179,9 +178,6 @@ class TestParseSettings:
 
     def test_duplicates_collapsed(self):
         assert _parse_settings("2,2,3") == [2, 3]
-
-    def test_json_list(self):
-        assert _parse_settings([1, 5]) == [1, 5]
 
     def test_rejects_garbage(self):
         # unknown ids such as "0,9" parse; bench rejects them (TestBench)
@@ -296,7 +292,43 @@ class TestFit:
             cfg.write_text(json.dumps(flags[0]))
             flags = ["--config", cfg]
         assert run(argv + TINY + flags) == 1
-        assert capsys.readouterr().err.startswith(f"swarmfit: error: {diagnostic}")
+        # a count the dataset rejects is reported under the file's name
+        source = f"{data}: " if diagnostic.startswith("counts") else ""
+        assert capsys.readouterr().err.startswith(f"swarmfit: error: {source}{diagnostic}")
+
+    @pytest.mark.parametrize(
+        "rows, diagnostic",
+        [
+            (["0.1,1", "0.5,5.0", "0.9,3"],
+             "line 3: invalid literal for int() with base 10: '5.0'"),
+            (["0.1,1", "abc,5"], "line 3: could not convert string to float: 'abc'"),
+            (["0.1,1", "0.5"], "line 3: malformed row ['0.5']"),
+            (["0.1,1", "0.5," + "1" * 200_000],
+             "line 3: field larger than field limit (131072)"),
+        ],
+    )
+    def test_bad_row_named_by_file_and_line(self, tmp_path, capsys, rows, diagnostic):
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n" + "\n".join(rows) + "\n")
+        argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json"]
+        assert run(argv + TINY) == 1
+        assert capsys.readouterr().err == f"swarmfit: error: {data}: {diagnostic}\n"
+
+    def test_gbest_ignores_m_past_the_swarm(self, tmp_path):
+        # only lbest uses --m, so a gbest swarm smaller than the default m = 5 runs
+        data = tmp_path / "data.csv"
+        data.write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+        argv = ["fit", "--data", data, "--topology", "gbest", "--particles", 3,
+                "--restarts", 2, "--iters", 5, "--out", tmp_path / "f.json"]
+        assert run(argv) == 0
+
+    def test_lbest_m_past_the_swarm_rejected_before_reading_data(self, tmp_path, capsys):
+        argv = ["fit", "--data", tmp_path / "missing.csv", "--topology", "lbest",
+                "--particles", 3, "--out", tmp_path / "f.json"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "swarmfit: error: lbest needs m_neighbors <= n_particles, got 5\n"
+        )
 
     def test_huge_pseudotime_span_fits_without_warnings(self, tmp_path):
         # k*(t - t0) overflows to inf on this span, where tau is floored; the
@@ -347,6 +379,41 @@ class TestFit:
         assert json.loads(out.read_text())["config"] == config_to_dict(ExperimentConfig())
 
 
+# results.csv and params.csv of `bench --settings all --data-seed 1 --seed 2
+# --restarts 2 --iters 10` as first recorded: a change to either is a change
+# of results
+PINNED_RESULTS = """\
+setting,topology,best,mean,std,median
+1,gbest,962.91,967.65,6.70,967.65
+1,lbest,943.55,954.90,16.05,954.90
+2,gbest,952.58,977.19,34.80,977.19
+2,lbest,961.98,982.48,28.99,982.48
+3,gbest,486.16,489.53,4.78,489.53
+3,lbest,483.63,486.05,3.42,486.05
+4,gbest,237.48,238.11,0.88,238.11
+4,lbest,234.50,235.12,0.87,235.12
+5,gbest,239.75,241.79,2.88,241.79
+5,lbest,240.23,240.51,0.40,240.51
+6,gbest,127.34,129.91,3.63,129.91
+6,lbest,127.91,129.28,1.94,129.28
+"""
+PINNED_PARAMS = """\
+setting,topology,k_g,t_g,mu_g,phi_g
+1,gbest,8.5410,0.2960,4.6037,121
+1,lbest,8.0921,0.3355,5.0542,102
+2,gbest,-13.5261,0.8673,3.5175,116
+2,lbest,-15.3253,0.8696,3.3479,62
+3,gbest,3.9475,0.3844,0.6370,67
+3,lbest,1.7220,0.9990,1.1826,52
+4,gbest,7.5106,0.4157,6.2961,161
+4,lbest,8.2820,0.3441,5.4039,129
+5,gbest,-12.1880,0.7934,4.5477,170
+5,lbest,-11.0341,0.8221,4.7852,145
+6,gbest,5.1567,0.0261,0.4920,1
+6,lbest,13.9723,0.0058,0.4351,1
+"""
+
+
 class TestBench:
     @pytest.mark.parametrize(
         "key, named",
@@ -395,6 +462,32 @@ class TestBench:
         data = load_dataset(out / "data_4.csv")
         assert len(data) == 100
         assert len(doc["summaries"]) == 2
+
+    def test_m_past_the_swarm_rejected_before_any_file(self, tmp_path, capsys):
+        # bench runs lbest on every setting, so its m is checked against the swarm
+        out = tmp_path / "b"
+        argv = ["bench", "--settings", 4, "--data-seed", 1, "--seed", 1,
+                "--particles", 3, "--out-dir", out]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "swarmfit: error: lbest needs m_neighbors <= n_particles, got 5\n"
+        )
+        assert not out.exists()
+
+    def test_small_grid_tables_pinned(self, tmp_path):
+        # the byte-identity gate on the bench CSVs, at a size tier-1 can afford;
+        # run.json is not pinned: the last bits of its floats follow the BLAS dot
+        out = tmp_path / "bench"
+        argv = ["bench", "--settings", "all", "--data-seed", 1, "--seed", 2,
+                "--restarts", 2, "--iters", 10, "--out-dir", out]
+        assert run(argv) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["results.csv", "params.csv", "run.json"]
+            + [f"data_{s}.csv" for s in range(1, 7)]
+            + [f"curve_{s}_{t}.csv" for s in range(1, 7) for t in ("gbest", "lbest")]
+        )
+        assert (out / "results.csv").read_text() == PINNED_RESULTS
+        assert (out / "params.csv").read_text() == PINNED_PARAMS
 
     def test_bad_settings_list(self, tmp_path, capsys):
         for settings in ("1,9", "0,9"):
@@ -525,6 +618,7 @@ class TestConfigFile:
             ({"settings": "4", "data_seed": 1, "seed": 1, "w": False}, "'w'"),
             ({"settings": [True], "data_seed": 1, "seed": 1}, "settings"),
             ({"settings": [4.5], "data_seed": 1, "seed": 1}, "settings"),
+            ({"settings": [4, 5], "data_seed": 1, "seed": 1}, "settings"),
         ],
     )
     def test_wrong_json_type_rejected(self, tmp_path, capsys, doc, key):
@@ -573,12 +667,17 @@ def csv_rows(draw):
 # distances overflow
 K_BOUNDS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1e300, 1e300]))
 COEFFICIENTS = st.one_of(st.just(2.0), st.floats(0.0, 2.0))
+# the whole accepted phi box, its ends and the edges of float's exact integers
+PHI_MAX = st.one_of(
+    st.integers(1, 2**53), st.sampled_from([1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53])
+)
 
 
 @st.composite
 def fit_flags(draw):
-    """Topology, k box, coefficients and a small swarm: at most 5 particles
-    and at most 2 restarts and iterations."""
+    """Topology, k box, phi box, coefficients and a small swarm: at most 5
+    particles and at most 2 restarts and iterations.  Returns the flags and
+    the --config document; the phi box is given in one or the other."""
     particles = draw(st.integers(1, 5))
     k_box = sorted(draw(st.lists(K_BOUNDS, min_size=2, max_size=2, unique=True)))
     if draw(st.integers(0, 9)) == 0:  # now and then a reversed box
@@ -590,7 +689,12 @@ def fit_flags(draw):
         "--particles": particles, "--m": draw(st.integers(1, particles)),
         "--restarts": draw(st.integers(1, 2)), "--iters": draw(st.integers(1, 2)),
     }
-    return [f"{flag}={value}" for flag, value in flags.items()]
+    phi_max, config = draw(PHI_MAX), {}
+    if draw(st.booleans()):
+        config["phi_max"] = phi_max
+    else:
+        flags["--phi-max"] = phi_max
+    return [f"{flag}={value}" for flag, value in flags.items()], config
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -598,13 +702,16 @@ def fit_flags(draw):
 def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
     """A t,y CSV, with t out to +-1e308, either fits with no numpy
     RuntimeWarning or exits 1 with a diagnostic, never a traceback, whatever
-    the topology, the k box and the swarm."""
+    the topology, the k and phi boxes and the swarm."""
+    flags, config = flags
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
         data.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows))
+        (Path(tmp) / "cfg.json").write_text(json.dumps(config))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code = run(["fit", "--data", data, "--out", Path(tmp) / "f.json", *flags])
+            code = run(["fit", "--data", data, "--out", Path(tmp) / "f.json", *flags,
+                        "--config", Path(tmp) / "cfg.json"])
     assert code == 0 or (code == 1 and "swarmfit: error: " in err.getvalue()), err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

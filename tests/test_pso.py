@@ -74,8 +74,12 @@ class TestBoxDomain:
 
 class TestSwarmConfig:
     def test_neighbors_exceed_swarm(self):
-        with pytest.raises(ValueError):
-            SwarmConfig(n_particles=5, m_neighbors=6)
+        # only lbest uses m_neighbors, so only lbest bounds it by the swarm size
+        SwarmConfig(n_particles=5, m_neighbors=6)
+        with pytest.raises(ValueError, match="m_neighbors"):
+            SwarmConfig(n_particles=5, m_neighbors=6, topology="lbest")
+        with pytest.raises(ValueError, match="m_neighbors"):
+            SwarmConfig(n_particles=5, m_neighbors=0)
 
     def test_zero_particles(self):
         with pytest.raises(ValueError):
