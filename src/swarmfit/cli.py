@@ -65,6 +65,8 @@ _COMMANDS = {
         **_TUNING,
     }, ("settings", "data_seed", "seed", "out_dir")),
 }
+# Option key -> allowed values; a list, not a Topology type, keeps argparse's usage error.
+_CHOICES = {"topology": [t.value for t in Topology]}
 # Config class -> {option key: the field of that class it sets}; k_min and
 # k_max set ExperimentConfig.k_bounds together.
 _FIELDS = {
@@ -84,9 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (help_text, options, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key, (kind, option_help) in options.items():
-            # choices, not a Topology type, keep argparse's "invalid choice" usage error
-            choices = [t.value for t in Topology] if key == "topology" else None
-            p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices,
+            p.add_argument("--" + key.replace("_", "-"), type=kind, choices=_CHOICES.get(key),
                            help=option_help)
         p.add_argument("--config", help="JSON file supplying any flag")
     return parser
@@ -121,6 +121,10 @@ def _options(args: argparse.Namespace) -> dict:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
             if value is not None:  # null leaves the key unset
                 merged[norm] = _coerce(args.config, norm, value, options[norm][0])
+                choices = _CHOICES.get(norm)
+                if choices and merged[norm] not in choices:
+                    raise ValueError(f"{args.config}: config key {norm!r} must be one of "
+                                     f"{', '.join(choices)}, got {value!r}")
     for key in options:
         value = getattr(args, key)
         if value is not None:

@@ -141,18 +141,21 @@ class Dataset:
     def __len__(self) -> int:
         return self.times.size
 
-    def _phi_terms(self, phi: int | float) -> float:
-        """Sum over cells of the terms of log NB(y_c; tau, phi) free of tau.
-
-        phi is an integer, given as an int or a float; the two share one cache
-        entry (7 == 7.0 and hash alike) and give the same value up to 2**53.
+    def _phi_terms(self, phis: list) -> np.ndarray:
+        """Sums over cells of the terms of log NB(y_c; tau, phi) free of tau,
+        one per phi of the list, in a fresh array.  Each phi is an integer, as
+        an int or a float; the two share one cache entry (7 == 7.0 and hash
+        alike) and give the same value up to 2**53.  A call fills all of its
+        missing phi in one pass; np.vecdot sums each row as a 1-d dot would.
         """
-        cached = self._phi_cache.get(phi)
-        if cached is None:
-            lg = float(self._mult @ _lgamma_terms(self._distinct, phi))
-            cached = lg + self.times.size * phi * math.log(phi)
-            self._phi_cache[phi] = cached
-        return cached
+        try:
+            return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
+        except KeyError:
+            missing = list(dict.fromkeys(phi for phi in phis if phi not in self._phi_cache))
+            lg = _lgamma_terms(self._distinct, np.array(missing, dtype=float)[:, None])
+            for phi, lg_sum in zip(missing, np.vecdot(lg, self._mult).tolist()):
+                self._phi_cache[phi] = lg_sum + self.times.size * phi * math.log(phi)
+        return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
 
 
 def _tau(t, neg_k, t0, two_mu, out):
@@ -198,8 +201,6 @@ def _lgamma(x):
 
     +inf at the non-positive integers, as scipy.special.gammaln gives.
     """
-    if np.ndim(x) == 0:
-        return _lgamma_scalar(float(x))
     x = np.asarray(x, dtype=float)
     return np.array([_lgamma_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
@@ -262,8 +263,7 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     bit; a matrix product (A @ y, einsum) sums in another order and changes
     the last bit.
     """
-    t, y = data.times, data._y
-    phi_terms, phi_cache = data._phi_terms, data._phi_cache
+    t, y, phi_terms = data.times, data._y, data._phi_terms
     rows = max(1, _BLOCK_CELLS // len(data))
     work = _aligned_empty((2, rows, len(data)))
     if rows > 1:
@@ -297,11 +297,7 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
                 np.log(tau, tau)
                 np.add(y_r, phi_r, aux)
                 np.vecdot(block[1], block[0], out=sums[1, r0:r1])
-        keys = phis.tolist()
-        try:
-            values = np.fromiter(map(phi_cache.__getitem__, keys), float, n)
-        except KeyError:  # fills the missing entries; float and int keys are one entry
-            values = np.fromiter(map(phi_terms, keys), float, n)
+        values = phi_terms(phis.tolist())
         values += sums[0]
         values -= sums[1]
         return np.negative(values, values)
@@ -442,8 +438,8 @@ def save_dataset(data: Dataset, path) -> None:
 
 
 def load_dataset(path) -> Dataset:
-    """Read a ``t,y`` CSV.  Row order is irrelevant to the likelihood.  An
-    error names the file, and a bad row its line; counts are parsed as ints."""
+    """Read a ``t,y`` CSV of plain numbers.  Row order is irrelevant to the
+    likelihood.  An error names the file, and a bad row its line."""
     times: list[float] = []
     counts: list[int] = []
     with open(path, newline="") as fh:
@@ -455,6 +451,8 @@ def load_dataset(path) -> Dataset:
             for row in filter(None, reader):  # blank lines are skipped
                 if len(row) != 2:
                     raise ValueError(f"malformed row {row!r}")
+                if "_" in row[0] + row[1]:  # int() and float() would read 1_0 as 10
+                    raise ValueError(f"fields must be plain numbers, got row {row!r}")
                 times.append(float(row[0]))
                 counts.append(int(row[1]))
         except (ValueError, csv.Error) as exc:

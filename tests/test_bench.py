@@ -153,6 +153,23 @@ class TestRunRestarts:
         for (va, pa), (vb, pb) in zip(swarm_path.per_restart, row_path.per_restart, strict=True):
             assert va == vb and pa.tobytes() == pb.tobytes()
 
+    def test_one_row_block_tables_pinned(self):
+        # above C = 2048 the objective evaluates one row per block, the path of
+        # wide data that the bench grid (C <= 400) never takes
+        data = generate_dataset(dataclasses.replace(get_setting(1), C=4096), 1)
+        cfg = ExperimentConfig(restarts=2, swarm=SwarmConfig(n_iterations=10), master_seed=2)
+        summaries = [run_restarts(data, cfg, topology, 1) for topology in Topology]
+        assert emit_results_table(summaries) == (
+            "setting,topology,best,mean,std,median\n"
+            "1,gbest,9892.17,9932.63,57.22,9932.63\n"
+            "1,lbest,9891.90,10296.52,572.21,10296.52\n"
+        )
+        assert emit_params_table(summaries) == (
+            "setting,topology,k_g,t_g,mu_g,phi_g\n"
+            "1,gbest,9.5657,0.3555,6.3135,92\n"
+            "1,lbest,6.3525,0.3294,5.5266,8\n"
+        )
+
     def test_lbest_trajectory_pinned(self):
         # lbest with m < n: pins neighbor tie-breaking and random draw order
         cfg = ExperimentConfig(

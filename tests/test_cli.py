@@ -244,6 +244,17 @@ class TestFit:
         assert err.startswith("usage: swarmfit fit [-h]")
         assert "invalid choice: 'bogus' (choose from 'gbest', 'lbest')" in err
 
+    def test_bad_topology_in_config_names_the_key(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_text("t,y\n0.1,1\n0.5,5\n0.9,3\n")
+        cfg = tmp_path / "t.json"
+        cfg.write_text(json.dumps({"topology": "bogus"}))
+        assert run(["fit", "--data", data, "--out", tmp_path / "f.json", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"swarmfit: error: {cfg}: config key 'topology' must be one of gbest, lbest, "
+            "got 'bogus'\n"
+        )
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = run(
             ["fit", "--data", tmp_path / "nope.csv", "--topology", "gbest",
@@ -303,6 +314,11 @@ class TestFit:
              "line 3: invalid literal for int() with base 10: '5.0'"),
             (["0.1,1", "abc,5"], "line 3: could not convert string to float: 'abc'"),
             (["0.1,1", "0.5"], "line 3: malformed row ['0.5']"),
+            # int() and float() would read 1_0 as 10
+            (["0.1,1_0", "0.5,5", "0.9,3"],
+             "line 2: fields must be plain numbers, got row ['0.1', '1_0']"),
+            (["0.1,1", "0_5,5", "0.9,3"],
+             "line 3: fields must be plain numbers, got row ['0_5', '5']"),
             (["0.1,1", "0.5," + "1" * 200_000],
              "line 3: field larger than field limit (131072)"),
         ],

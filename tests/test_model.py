@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -436,6 +437,30 @@ def floor_cases(draw):
     return Dataset(times, counts), sign * float(k), t0, float(mu)
 
 
+@st.composite
+def simulated_datasets(draw):
+    """A built-in setting's data at its own C or at a C from 1 to 500."""
+    setting = get_setting(draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        setting = dataclasses.replace(setting, C=draw(st.integers(1, 500)))
+    return generate_dataset(setting, draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def phi_lists(draw):
+    """Integer phi in [1, 2**53], each an int or a float, with repeats."""
+    values = draw(st.lists(st.one_of(
+        st.integers(1, 300), st.integers(1, 2**53), st.sampled_from([2**52 + 1, 2**53])
+    ), min_size=1, max_size=12))
+    values += draw(st.lists(st.sampled_from(values), max_size=6))
+    return [float(v) if draw(st.booleans()) else v for v in values]
+
+
+def per_phi_terms(data, phi):
+    """Reference: the phi-only sum of one phi on its own, by a 1-d dot."""
+    return float(data._mult @ _lgamma_terms(data._distinct, phi)) + len(data) * phi * math.log(phi)
+
+
 def reference_nll(x, data):
     """Reference: the NLL summed in the objective's operation order, from
     clamped_sigmoid_mean, which clamps every exp argument and floors every
@@ -445,7 +470,7 @@ def reference_nll(x, data):
     y = data.counts.astype(float)
     s = y @ np.log(tau)
     phi = params.phi_g
-    return -float(data._phi_terms(phi) + s - (y + phi) @ np.log(tau + phi))
+    return -float(data._phi_terms([phi])[0] + s - (y + phi) @ np.log(tau + phi))
 
 
 class TestObjectiveProperties:
@@ -597,9 +622,27 @@ class TestObjectiveProperties:
     def test_phi_terms_shared_by_int_and_float_keys(self, phi):
         data = generate_dataset(get_setting(1), 1)
         fresh = generate_dataset(get_setting(1), 1)
-        assert data._phi_terms(phi) == fresh._phi_terms(float(phi))
-        assert data._phi_terms(float(phi)) == data._phi_terms(phi)
+        assert data._phi_terms([phi])[0] == fresh._phi_terms([float(phi)])[0]
+        assert data._phi_terms([float(phi)])[0] == data._phi_terms([phi])[0]
         assert len(data._phi_cache) == 1
+
+    @PROPERTY
+    @given(data=st.one_of(edge_datasets(), simulated_datasets()), phis=phi_lists())
+    def test_phi_terms_do_not_depend_on_fill_order(self, data, phis):
+        # the same bytes whether a call fills all its phi, one phi at a time,
+        # in reverse order or after a part of them, as phi on its own gives
+        expected = np.array([per_phi_terms(data, phi) for phi in phis])
+        whole, single, backwards, partial = (Dataset(data.times, data.counts) for _ in range(4))
+        got = whole._phi_terms(phis)
+        assert got.tobytes() == expected.tobytes()
+        assert np.array([single._phi_terms([phi])[0] for phi in phis]).tobytes() == got.tobytes()
+        assert backwards._phi_terms(phis[::-1])[::-1].tobytes() == got.tobytes()
+        partial._phi_terms(phis[: len(phis) // 2])
+        assert partial._phi_terms(phis).tobytes() == got.tobytes()
+        for filled in (whole, single, backwards, partial):
+            assert len(filled._phi_cache) == len(set(phis))  # 7 and 7.0 are one entry
+        got[:] = 0.0  # each call returns a fresh array, which the objective adds into
+        assert whole._phi_terms(phis).tobytes() == expected.tobytes()
 
 
 class TestObjectiveBuffers:
