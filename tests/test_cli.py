@@ -314,13 +314,13 @@ class TestFit:
              "line 3: invalid literal for int() with base 10: '5.0'"),
             (["0.1,1", "abc,5"], "line 3: could not convert string to float: 'abc'"),
             (["0.1,1", "0.5"], "line 3: malformed row ['0.5']"),
+            (["0.1,1", "0.5," + "1" * 200_000],
+             "line 3: field larger than field limit (131072)"),
             # int() and float() would read 1_0 as 10
             (["0.1,1_0", "0.5,5", "0.9,3"],
              "line 2: fields must be plain numbers, got row ['0.1', '1_0']"),
             (["0.1,1", "0_5,5", "0.9,3"],
              "line 3: fields must be plain numbers, got row ['0_5', '5']"),
-            (["0.1,1", "0.5," + "1" * 200_000],
-             "line 3: field larger than field limit (131072)"),
         ],
     )
     def test_bad_row_named_by_file_and_line(self, tmp_path, capsys, rows, diagnostic):
