@@ -145,16 +145,15 @@ class Dataset:
         """Sums over cells of the terms of log NB(y_c; tau, phi) free of tau,
         one per phi of the list, in a fresh array.  Each phi is an integer, as
         an int or a float; the two share one cache entry (7 == 7.0 and hash
-        alike) and give the same value up to 2**53.  A call fills all of its
-        missing phi in one pass; np.vecdot sums each row as a 1-d dot would.
+        alike) and give the same value up to 2**53.  A missing phi is filled
+        on its own, so a fill holds one row of log-gamma terms at a time.
         """
         try:
             return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
         except KeyError:
-            missing = list(dict.fromkeys(phi for phi in phis if phi not in self._phi_cache))
-            lg = _lgamma_terms(self._distinct, np.array(missing, dtype=float)[:, None])
-            for phi, lg_sum in zip(missing, np.vecdot(lg, self._mult).tolist()):
-                self._phi_cache[phi] = lg_sum + self.times.size * phi * math.log(phi)
+            for phi in set(phis) - self._phi_cache.keys():
+                lg = float(self._mult @ _lgamma_terms(self._distinct, phi))
+                self._phi_cache[phi] = lg + self.times.size * phi * math.log(phi)
         return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
 
 
@@ -451,7 +450,8 @@ def load_dataset(path) -> Dataset:
             for row in filter(None, reader):  # blank lines are skipped
                 if len(row) != 2:
                     raise ValueError(f"malformed row {row!r}")
-                if "_" in row[0] + row[1]:  # int() and float() would read 1_0 as 10
+                if "_" in row[0] + row[1] or not (row[0] + row[1]).isascii():
+                    # int() and float() read 1_0 as 10 and a non-ASCII digit (U+0665) as 5
                     raise ValueError(f"fields must be plain numbers, got row {row!r}")
                 times.append(float(row[0]))
                 counts.append(int(row[1]))

@@ -321,6 +321,9 @@ class TestFit:
              "line 2: fields must be plain numbers, got row ['0.1', '1_0']"),
             (["0.1,1", "0_5,5", "0.9,3"],
              "line 3: fields must be plain numbers, got row ['0_5', '5']"),
+            # and a non-ASCII digit such as ARABIC-INDIC DIGIT FIVE as 5
+            (["0.1,1", "0.5,\u0665", "0.9,3"],
+             "line 3: fields must be plain numbers, got row ['0.5', '\u0665']"),
         ],
     )
     def test_bad_row_named_by_file_and_line(self, tmp_path, capsys, rows, diagnostic):

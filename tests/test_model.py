@@ -687,6 +687,21 @@ class TestObjectiveBuffers:
         assert peaks[0] < block / 2
         assert peaks[1] < 8 * 400 * len(data) / 2
 
+    def test_phi_fill_peak_follows_distinct_counts_not_the_call(self):
+        # a call's missing phi are filled one at a time: one phi's log-gamma
+        # terms over the m distinct counts take about 80 bytes per count, and
+        # filling the call's 4 phi at once would hold 4 such rows
+        m = 10_000
+        data = Dataset(np.linspace(0.0, 1.0, m), np.arange(m))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            data._phi_terms([1, 2, 3, 4])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * m
+
     def test_one_objective_per_thread(self):
         # numpy releases the GIL inside each ufunc, so buffers shared between
         # objectives would be overwritten by another thread mid-evaluation

@@ -4,8 +4,9 @@
 
 Each pair runs the benchmark command of BENCHMARK.json (``python3
 perfbench/run.py``) once in each checkout, ``--workload W --seed S --seconds
-T``, one process at a time; even pairs run the parent first, odd pairs the
-change.  For every workload, seed and end-to-end metric of the change's
+T`` with T the ``run_seconds`` of the change's BENCHMARK.json, so both sides
+run as long as the benchmark does, one process at a time; even pairs run the
+parent first, odd pairs the change.  For every workload, seed and end-to-end metric of the change's
 BENCHMARK.json it prints each side's median and quartiles, how many pairs the
 change won (ties count for neither side), the ratio of the medians, and
 whether the medians differ by more than the parent's interquartile range.
@@ -79,12 +80,9 @@ def main(argv=None) -> int:
                         help="workload to run (repeatable; default: every workload)")
     parser.add_argument("--seed", type=int, action="append", help="seed (repeatable; default: 1)")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload and seed")
-    parser.add_argument("--seconds", type=float,
-                        help="seconds per run (default: run_seconds of BENCHMARK.json)")
     args = parser.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for workload in workloads:
         for seed in args.seed or [1]:
@@ -93,7 +91,8 @@ def main(argv=None) -> int:
                 order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
                 for side in order:
                     try:
-                        metrics = run_once(spec["command"], sides[side], workload, seed, seconds)
+                        metrics = run_once(spec["command"], sides[side], workload, seed,
+                                           spec["run_seconds"])
                     except RunFailed as exc:
                         print(f"ab_pairs: {exc}", file=sys.stderr)
                         return 1
