@@ -36,14 +36,15 @@ MAX_COUNT = 2**53
 # at a few hundred cells costs as much as the arithmetic.
 _ONE = np.array(1.0)
 _TAU_FLOOR = np.array(TAU_FLOOR)
+_TWO_52 = np.array(2.0**52)
 # Maps the columns (k, t0, mu) to the sigmoid's operands (-k, t0, 2*mu); both
 # products are exact.
 _PAR_SCALE = np.array([[-1.0], [1.0], [2.0]])
-# Cells per row block of a swarm evaluation.  A block's (2, rows, C) scratch
-# is then 64 KB: under glibc's 128 KB mmap threshold, so it is not unmapped
-# and faulted in again, and it stays in L2.  4096 to 16384 timed alike at
-# C = 100 and C = 400, 2048 was 7-14% slower.  Above C = 2048 a block is one
-# row.
+# Cells per row block of a swarm evaluation.  Each (2, rows, C) stack of a
+# block is then 64 KB: under glibc's 128 KB mmap threshold, so it is not
+# unmapped and faulted in again, and it stays in L2.  4096 to 16384 timed
+# alike at C = 100 and C = 400, 2048 was 7-14% slower.  Above C = 2048 a
+# block is one row.
 _BLOCK_CELLS = 4096
 
 DEFAULT_K_BOUNDS = (-20.0, 20.0)
@@ -244,30 +245,30 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 
     Row i of the (n, 3) float array ktm holds (k, t0, mu) and phis[i] is its
     integer dispersion, held as a float.  Rows are evaluated in blocks of
-    max(1, _BLOCK_CELLS // C) in a (2, rows, C) scratch buffer owned by this
+    max(1, _BLOCK_CELLS // C) in two (2, rows, C) stacks owned by this
     binding, so a call allocates no array of the swarm's cells and must not
-    run on two threads at once.  Every per-cell step acts on a whole block.
-    _tau floors a whole block when any of its taus needs it, which leaves
-    every other row as it is, and overflow is silenced once per call, around
-    the block loop.  A block of several rows runs on operands of its own
-    shape: (rows, C) copies of t and y made once, and a (4, rows, C) block
-    of the rows' (-k, t0, 2*mu, phi) filled once per block.  A ufunc given a
-    (rows, 1) or (C,) operand would have numpy build a broadcasting iterator
-    and buffer the whole block, on each call.  Together the copies are at
-    most 6 * _BLOCK_CELLS floats (192 KB).  A block of one row runs on 1-d views
-    with scalar operands, which numpy evaluates without that iterator.  The
-    two sums over cells are taken row by row with np.vecdot, which runs
-    numpy's 1-d dot (BLAS ddot) on each row, so a row's value does not
-    depend on the block it lands in and equals a per-row ndarray.dot bit for
-    bit; a matrix product (A @ y, einsum) sums in another order and changes
-    the last bit.
+    run on two threads at once.  logs gets tau in plane 0 and tau + phi in
+    plane 1; ys holds y in plane 0, copied once, and gets y + phi in plane 1.
+    So one np.log takes a block's logs, and one np.vecdot its two sums over
+    cells, y.log(tau) and (y + phi).log(tau + phi), running numpy's 1-d dot
+    (BLAS ddot) on each (plane, row) pair: a row's value does not depend on
+    its block and equals a per-row ndarray.dot bit for bit, while a matrix
+    product (A @ y, einsum) sums in another order.  _tau floors a whole
+    block when any of its taus needs it, which leaves every other row as it
+    is; overflow is silenced once per call.  A block of several rows runs on
+    operands of its own shape, (rows, C) copies of t made once and a
+    (4, rows, C) block of (-k, t0, 2*mu, phi) filled per block, since a
+    (rows, 1) or (C,) operand has numpy build a broadcasting iterator and
+    buffer the whole block on each call; a one-row block runs on 1-d views
+    with 0-d operands, which need no such iterator.
     """
-    t, y, phi_terms = data.times, data._y, data._phi_terms
+    t, phi_terms = data.times, data._phi_terms
     rows = max(1, _BLOCK_CELLS // len(data))
-    work = _aligned_empty((2, rows, len(data)))
+    logs, ys = _aligned_empty((2, rows, len(data))), _aligned_empty((2, rows, len(data)))
+    ys[0] = data._y
     if rows > 1:
-        full_ty = _aligned_empty((2, rows, len(data)))
-        full_ty[0], full_ty[1] = t, y
+        full_t = _aligned_empty((rows, len(data)))
+        full_t[:] = t
         full_par = _aligned_empty((4, rows, len(data)))
 
     def nll(ktm: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -279,23 +280,21 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
         with np.errstate(over="ignore"):  # see _tau
             for r0 in range(0, n, rows):
                 r1 = r0 + rows
-                block = work[:, : n - r0]
+                logs_b, ys_b = logs[:, : n - r0], ys[:, : n - r0]
                 # numpy runs 1-d rows with scalar operands without its
                 # broadcasting iterator, which saves about 4% at C = 20000
-                if len(block[0]) == 1:
-                    (tau, aux), (neg_k, t_mid, two_mu, phi_r) = block[:, 0], par[:, r0]
-                    t_r, y_r = t, y
+                if len(ys_b[0]) == 1:
+                    (tau, tau_phi), (y_r, y_phi) = logs_b[:, 0], ys_b[:, 0]
+                    (neg_k, t_mid, two_mu, phi_r), t_r = par[:, r0], t
                 else:
-                    (tau, aux), (t_r, y_r) = block, full_ty[:, : n - r0]
+                    (tau, tau_phi), (y_r, y_phi) = logs_b, ys_b
                     np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
-                    neg_k, t_mid, two_mu, phi_r = full_par[:, : n - r0]
+                    (neg_k, t_mid, two_mu, phi_r), t_r = full_par[:, : n - r0], full_t[: n - r0]
                 _tau(t_r, neg_k, t_mid, two_mu, tau)
-                np.log(tau, aux)
-                np.vecdot(y, block[1], out=sums[0, r0:r1])
-                np.add(tau, phi_r, tau)
-                np.log(tau, tau)
-                np.add(y_r, phi_r, aux)
-                np.vecdot(block[1], block[0], out=sums[1, r0:r1])
+                np.add(tau, phi_r, tau_phi)
+                np.log(logs_b, logs_b)
+                np.add(y_r, phi_r, y_phi)
+                np.vecdot(ys_b, logs_b, out=sums[:, r0:r1])
         values = phi_terms(phis.tolist())
         values += sums[0]
         values -= sums[1]
@@ -388,8 +387,9 @@ def decode_position(x) -> NbParams:
 
 def _round_phi(v):
     """Dispersion coordinate(s) -> integer phi, held as a float: round half up,
-    clamp below at 1.  A nan stays nan."""
-    return np.maximum(np.floor(v + 0.5), _ONE)
+    clamp below at 1.  A nan stays nan.  From 2**52 up, v + 0.5 rounds an odd
+    v up by one; the cap at max(v, 2**52), which no v below rounds past, keeps v."""
+    return np.maximum(np.minimum(np.floor(v + 0.5), np.maximum(v, _TWO_52)), _ONE)
 
 
 def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:

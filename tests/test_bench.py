@@ -20,7 +20,14 @@ from swarmfit.bench import (
     summary_to_dict,
     write_bench_outputs,
 )
-from swarmfit.model import Dataset, NbParams, build_domain, load_dataset, make_objective
+from swarmfit.model import (
+    Dataset,
+    NbParams,
+    build_domain,
+    decode_position,
+    load_dataset,
+    make_objective,
+)
 from swarmfit.pso import BoxDomain, Topology
 
 SMALL = ExperimentConfig(
@@ -152,6 +159,22 @@ class TestRunRestarts:
         row_path = run_restarts(data, cfg, topology)
         for (va, pa), (vb, pb) in zip(swarm_path.per_restart, row_path.per_restart, strict=True):
             assert va == vb and pa.tobytes() == pb.tobytes()
+
+    def test_best_phi_stays_in_a_box_up_to_2_53_minus_1(self):
+        # this swarm flies to the box's bounds; an odd phi coordinate on the
+        # bound 2**53 - 1 used to decode one past it, to 2**53
+        phi_max = 2**53 - 1
+        cfg = ExperimentConfig(
+            restarts=3,
+            swarm=SwarmConfig(w=2.0, c1=2.0, c2=2.0, n_iterations=20),
+            phi_max=phi_max,
+        )
+        data = generate_dataset(get_setting(1), 1)
+        for topology in Topology:
+            summary = run_restarts(data, cfg, topology)
+            assert summary.best_params.phi_g <= phi_max
+            for _, position in summary.per_restart:
+                assert decode_position(position).phi_g <= phi_max
 
     def test_one_row_block_tables_pinned(self):
         # above C = 2048 the objective evaluates one row per block, the path of

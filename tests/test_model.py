@@ -662,6 +662,24 @@ class TestObjectiveBuffers:
             tracemalloc.stop()
         assert peak < 8 * len(self.wide)
 
+    @pytest.mark.parametrize("cells, rows", [(100, 40), (20_000, 10)])
+    def test_warm_call_allocates_no_per_cell_row(self, cells, rows):
+        # a warm call allocates only per-row arrays (the parameters, the two
+        # sums, the phi terms); one row of cells at C = 20000 is 160 KB
+        data = Dataset(np.linspace(0.0, 1.0, cells), np.arange(cells) % 37)
+        domain = quiet_domain(data)
+        points = np.random.default_rng(1).uniform(domain.lower, domain.upper, size=(rows, 4))
+        objective = make_objective(data)
+        objective(points)  # fills the phi cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            objective(points)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 8192 + 256 * rows
+
     def test_swarm_call_allocates_no_swarm_by_cells_array(self):
         # C = 100 gives 40 rows per block.  Every per-cell ufunc of a block
         # runs on operands of the block's shape, so numpy buffers none of
@@ -788,6 +806,20 @@ class TestDecodePosition:
 
     def test_clamps_dispersion_at_one(self):
         assert decode_position([0.0, 0.5, 1.0, 0.4]).phi_g == 1
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        phi=st.integers(1, 2**53)
+        | st.integers(2**52, 2**53)
+        | st.sampled_from([2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53])
+    )
+    def test_integer_coordinates_decode_to_themselves(self, phi):
+        # from 2**52 up, v + 0.5 rounds to even, which took an odd v one up
+        assert decode_position([0.0, 0.5, 1.0, float(phi)]).phi_g == phi
+        point = np.array([[0.0, 0.5, 1.0, float(phi)]])
+        data = Dataset(times=[0.1, 0.5, 0.9], counts=[1, 5, 3])
+        expected = neg_log_likelihood(NbParams(0.0, 0.5, 1.0, phi), data)
+        assert make_objective(data)(point).tolist() == [expected]
 
     @pytest.mark.parametrize(
         "phi, error", [(math.nan, ValueError), (math.inf, OverflowError), (-math.inf, OverflowError)]
