@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -41,7 +42,8 @@ _TUNING = {
     "restarts": (int, "independent restarts"),
     "k_min": (float, "lower bound on activation strength"),
     "k_max": (float, "upper bound on activation strength"),
-    "phi_max": (int, "upper bound on dispersion"),
+    "phi_max": (int, "upper bound on dispersion, in [1, 2**20]: up to 2**20 the "
+                     "likelihood is accurate to about 1e-9 relative"),
 }
 # Command -> (help, {option key: (type, help)}, required keys).
 _COMMANDS = {
@@ -65,6 +67,9 @@ _COMMANDS = {
         **_TUNING,
     }, ("settings", "data_seed", "seed", "out_dir")),
 }
+# A negative number that argparse, which knows only -12 and -.5, would read
+# as a flag; main joins it to the flag before it as --flag=value.
+_NEGATIVE_NUMBER = r"(?i)-(\d|\.\d|inf|nan)"
 # Option key -> allowed values; a list, not a Topology type, keeps argparse's usage error.
 _CHOICES = {"topology": [t.value for t in Topology]}
 # Config class -> {option key: the field of that class it sets}; k_min and
@@ -187,6 +192,11 @@ def _cmd_bench(options: dict) -> int:
 
 
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        flag = argv[i - 1]
+        if flag.startswith("--") and flag != "--help" and re.match(_NEGATIVE_NUMBER, argv[i]):
+            argv[i - 1 : i + 1] = [f"{flag}={argv[i]}"]
     args = build_parser().parse_args(argv)
     handlers = {"simulate": _cmd_simulate, "fit": _cmd_fit, "bench": _cmd_bench}
     try:

@@ -21,6 +21,7 @@ from swarmfit.bench import (
     write_bench_outputs,
 )
 from swarmfit.model import (
+    MAX_PHI,
     Dataset,
     NbParams,
     build_domain,
@@ -160,10 +161,9 @@ class TestRunRestarts:
         for (va, pa), (vb, pb) in zip(swarm_path.per_restart, row_path.per_restart, strict=True):
             assert va == vb and pa.tobytes() == pb.tobytes()
 
-    def test_best_phi_stays_in_a_box_up_to_2_53_minus_1(self):
-        # this swarm flies to the box's bounds; an odd phi coordinate on the
-        # bound 2**53 - 1 used to decode one past it, to 2**53
-        phi_max = 2**53 - 1
+    def test_best_phi_stays_in_a_box_up_to_max_phi(self):
+        # this swarm flies to the box's bounds; one gbest restart ends on the top phi bound
+        phi_max = MAX_PHI
         cfg = ExperimentConfig(
             restarts=3,
             swarm=SwarmConfig(w=2.0, c1=2.0, c2=2.0, n_iterations=20),
@@ -175,6 +175,8 @@ class TestRunRestarts:
             assert summary.best_params.phi_g <= phi_max
             for _, position in summary.per_restart:
                 assert decode_position(position).phi_g <= phi_max
+            if topology is Topology.GBEST:
+                assert phi_max in [position[3] for _, position in summary.per_restart]
 
     def test_one_row_block_tables_pinned(self):
         # above C = 2048 the objective evaluates one row per block, the path of
@@ -256,7 +258,7 @@ class TestRunExperiment:
             ({"k_bounds": (-math.inf, 1.0)}, "k_bounds must be finite"),
             ({"k_bounds": (-1e308, 1e308)}, "domain span upper - lower must be finite"),
             ({"phi_max": 0}, "phi_max must be >= 1"),
-            ({"phi_max": 2**53 + 1}, "phi_max must be at most 2**53"),
+            ({"phi_max": MAX_PHI + 1}, "phi_max must be at most 2**20"),
         ],
     )
     def test_invalid_box_knobs_rejected_at_construction(self, knobs, message):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import swarmfit
 from swarmfit.bench import ExperimentConfig, config_to_dict
 from swarmfit.cli import _parse_settings, main
-from swarmfit.model import load_dataset
+from swarmfit.model import MAX_PHI, load_dataset
 
 FAST = ["--restarts", "3", "--iters", "10", "--particles", "5", "--m", "3"]
 TINY = ["--restarts", "1", "--iters", "1", "--particles", "2", "--m", "1"]
@@ -89,7 +89,7 @@ OUT_OF_RANGE = {
     **{(cmd, flag): entry for cmd in ("fit", "bench") for flag, entry in [
         ("--particles", ("n_particles", [0])), ("--iters", ("n_iterations", [0])),
         ("--m", ("m_neighbors", [0, 6])), ("--restarts", ("restarts", [0])),
-        ("--phi-max", ("phi_max", [0, 2**53 + 1])), ("--seed", ("master_seed", [-1, 2**64])),
+        ("--phi-max", ("phi_max", [0, MAX_PHI + 1])), ("--seed", ("master_seed", [-1, 2**64])),
     ]},
     ("bench", "--data-seed"): ("data_seed", [-1, 2**64]),
 }
@@ -288,10 +288,15 @@ class TestFit:
             (["-1e308,1", "1e308,5"], [], "domain span"),
             (["0.1,1", "0.5,5"], ["--k-min=-1e308", "--k-max=1e308"], "domain span"),
             # a huge phi_max ended in an OverflowError traceback from the phi cache
-            (["0.1,1", "0.5,5"], [f"--phi-max={10**308}"], "phi_max must be at most 2**53"),
-            (["0.1,1", "0.5,5"], [f"--phi-max={10**400}"], "phi_max must be at most 2**53"),
-            (["0.1,1", "0.5,5"], [{"phi_max": 10**308}], "phi_max must be at most 2**53"),
-            (["0.1,1", "0.5,5"], [{"phi_max": 10**400}], "phi_max must be at most 2**53"),
+            (["0.1,1", "0.5,5"], [f"--phi-max={10**308}"], "phi_max must be at most 2**20"),
+            (["0.1,1", "0.5,5"], [f"--phi-max={10**400}"], "phi_max must be at most 2**20"),
+            (["0.1,1", "0.5,5"], [{"phi_max": 10**308}], "phi_max must be at most 2**20"),
+            (["0.1,1", "0.5,5"], [{"phi_max": 10**400}], "phi_max must be at most 2**20"),
+            # a negative number in exponent form after a space was read as a flag
+            (["0.1,1", "0.5,5"], ["--k-min", "-1e308", "--k-max", "1e308"], "domain span"),
+            # past 2**20 the likelihood loses accuracy; at 2**53 the NLL fell below 0
+            (["0.1,1", "0.5,5"], ["--phi-max", MAX_PHI + 1], "phi_max must be at most 2**20"),
+            (["0.1,1", "0.5,5"], ["--phi-max", 2**53], "phi_max must be at most 2**20"),
         ],
     )
     def test_out_of_range_input_rejected(self, tmp_path, capsys, rows, flags, diagnostic):
@@ -303,6 +308,7 @@ class TestFit:
             cfg.write_text(json.dumps(flags[0]))
             flags = ["--config", cfg]
         assert run(argv + TINY + flags) == 1
+        assert not (tmp_path / "f.json").exists()
         # a count the dataset rejects is reported under the file's name
         source = f"{data}: " if diagnostic.startswith("counts") else ""
         assert capsys.readouterr().err.startswith(f"swarmfit: error: {source}{diagnostic}")
@@ -439,12 +445,14 @@ class TestBench:
         [("w", "w"), ("c1", "c1"), ("c2", "c2"), ("k_min", "k_bounds"), ("k_max", "k_bounds")],
     )
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("via", ["flag", "config", "spaced"])
     def test_non_finite_float_rejected(self, tmp_path, capsys, key, named, value, via):
         argv = ["bench", "--settings", "4", "--data-seed", 1, "--seed", 2,
                 "--restarts", 1, "--out-dir", tmp_path / "b"]
         if via == "flag":
             argv.append(f"--{key.replace('_', '-')}={value}")
+        elif via == "spaced":  # -inf used to be read as a flag
+            argv += [f"--{key.replace('_', '-')}", value]
         else:
             # written as NaN / Infinity, which json.loads reads as floats
             cfg = tmp_path / "cfg.json"
@@ -686,10 +694,8 @@ def csv_rows(draw):
 # distances overflow
 K_BOUNDS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1e300, 1e300]))
 COEFFICIENTS = st.one_of(st.just(2.0), st.floats(0.0, 2.0))
-# the whole accepted phi box, its ends and the edges of float's exact integers
-PHI_MAX = st.one_of(
-    st.integers(1, 2**53), st.sampled_from([1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1, 2**53])
-)
+# the whole accepted phi box, its ends and one past its top
+PHI_MAX = st.one_of(st.integers(1, MAX_PHI), st.sampled_from([1, MAX_PHI, MAX_PHI + 1]))
 
 
 @st.composite
@@ -720,8 +726,8 @@ def fit_flags(draw):
 @given(rows=csv_rows(), flags=fit_flags())
 def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
     """A t,y CSV, with t out to +-1e308, either fits with no numpy
-    RuntimeWarning or exits 1 with a diagnostic, never a traceback, whatever
-    the topology, the k and phi boxes and the swarm."""
+    RuntimeWarning and NLLs >= 0 or exits 1 with a diagnostic, never a
+    traceback, whatever the topology, the k and phi boxes and the swarm."""
     flags, config = flags
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
@@ -732,5 +738,8 @@ def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
             warnings.simplefilter("always")
             code = run(["fit", "--data", data, "--out", Path(tmp) / "f.json", *flags,
                         "--config", Path(tmp) / "cfg.json"])
+        if code == 0:  # an NLL is never negative
+            doc = json.loads((Path(tmp) / "f.json").read_text())
+            assert min(r["value"] for r in doc["summary"]["per_restart"]) >= 0
     assert code == 0 or (code == 1 and "swarmfit: error: " in err.getvalue()), err.getvalue()
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

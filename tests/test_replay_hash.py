@@ -16,12 +16,13 @@ _SPEC.loader.exec_module(replay_hash)
 TINY = [
     (get_setting(4), SwarmConfig(n_particles=5, n_iterations=5), 2),
     (get_setting(6), SwarmConfig(topology=Topology.LBEST, n_particles=5, m_neighbors=3, n_iterations=5), 1),
+    (get_setting(4), SwarmConfig(n_particles=5, n_iterations=5), 1, 2**20),  # a phi_max
 ]
 
 
 def test_digest_repeats_and_sees_one_changed_restart():
     results, times = replay_hash.replay(TINY)
-    assert len(results) == len(times) == 3
+    assert len(results) == len(times) == 4
     expected = replay_hash.digest(results)
     assert replay_hash.digest(replay_hash.replay(TINY)[0]) == expected
     for field in ("best_position", "trace"):
