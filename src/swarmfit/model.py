@@ -101,10 +101,10 @@ class Dataset:
 
     Immutable: times, counts and their private copies are read-only arrays.
     The likelihood terms free of tau sum to one float per integer phi,
-    computed from the distinct counts and their multiplicities and cached
-    as needed, so each evaluation only does per-cell work that depends on
-    tau.  times and the float copy of the counts are held in 64-byte-aligned
-    copies (see _aligned_empty).
+    computed from the distinct counts, their multiplicities and their
+    lgamma(y + 1) row, made once, and cached as needed, so each evaluation
+    only does per-cell work that depends on tau.  times and the float copy
+    of the counts are held in 64-byte-aligned copies (see _aligned_empty).
     """
 
     times: np.ndarray
@@ -112,6 +112,7 @@ class Dataset:
     _y: np.ndarray = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
     _mult: np.ndarray = field(init=False, repr=False)
+    _lgamma_y1: np.ndarray = field(init=False, repr=False)
     _phi_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -137,8 +138,10 @@ class Dataset:
         t, y = _aligned_empty(times.shape), _aligned_empty(counts.shape)
         t[:], y[:] = times, counts
         distinct, mult = np.unique(counts, return_counts=True)
-        arrays = {"times": t, "counts": counts, "_y": y,
-                  "_distinct": distinct.astype(float), "_mult": mult.astype(float)}
+        distinct = distinct.astype(float)
+        lgamma_y1 = np.array([math.lgamma(v) for v in (distinct + 1).tolist()])
+        arrays = {"times": t, "counts": counts, "_y": y, "_distinct": distinct,
+                  "_mult": mult.astype(float), "_lgamma_y1": lgamma_y1}
         for name, array in arrays.items():
             array.flags.writeable = False
             object.__setattr__(self, name, array)
@@ -152,13 +155,19 @@ class Dataset:
         one per phi of the list, in a fresh array.  Each phi is an integer, as
         an int or a float; the two share one cache entry (7 == 7.0 and hash
         alike) and give the same value up to 2**53.  A missing phi is filled
-        on its own, so a fill holds one row of log-gamma terms at a time.
+        on its own from one row of lgamma(y + phi) over the distinct counts,
+        as lgamma(y + phi) - lgamma(y + 1) - lgamma(phi), the log of the
+        binomial coefficient C(y + phi - 1, y).  math.lgamma is finite on
+        that domain: integers y >= 0 and phi >= 1, both at most 2**53.
         """
         try:
             return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
         except KeyError:
             for phi in set(phis) - self._phi_cache.keys():
-                lg = float(self._mult @ _lgamma_terms(self._distinct, phi))
+                terms = np.array([math.lgamma(v) for v in (self._distinct + phi).tolist()])
+                terms -= self._lgamma_y1
+                terms -= math.lgamma(phi)
+                lg = float(self._mult @ terms)
                 self._phi_cache[phi] = lg + self.times.size * phi * math.log(phi)
         return np.fromiter(map(self._phi_cache.__getitem__, phis), float, len(phis))
 
@@ -192,57 +201,6 @@ def sigmoid_mean(t, params: NbParams):
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
         return _tau(t, -params.k_g, params.t_g, 2.0 * params.mu_g, np.empty_like(t))[()]
-
-
-def _lgamma_scalar(v: float) -> float:
-    try:
-        return math.lgamma(v)
-    except (ValueError, OverflowError):  # pole at a non-positive integer, or huge v
-        return math.inf
-
-
-def _lgamma(x):
-    """math.lgamma elementwise on a scalar or an array.
-
-    +inf at the non-positive integers, as scipy.special.gammaln gives.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.array([_lgamma_scalar(v) for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _lgamma_terms(y, phi):
-    """log C(y+phi-1, y) = lgamma(y+phi) - lgamma(y+1) - lgamma(phi)."""
-    return _lgamma(y + phi) - _lgamma(y + 1) - _lgamma(phi)
-
-
-def nb_log_pmf(y, tau, phi):
-    """Log-probability of count y under NB(mean=tau, dispersion=phi).
-
-    Computed in log space via log-gamma:
-
-        lgamma(y+phi) - lgamma(y+1) - lgamma(phi)
-            + y*log(tau/(tau+phi)) + phi*log(phi/(tau+phi))
-
-    Accepts scalars or arrays (broadcast elementwise).  A negative y is
-    outside the support and gives -inf; it is evaluated as 0, because at
-    y <= -phi both lgamma(y+phi) and lgamma(y+1) sit on poles and would give
-    inf - inf.  This is the one coded copy of the NB log-pmf;
-    neg_log_likelihood sums the same terms, regrouped, and shares the
-    log-gamma part through _lgamma_terms.
-    """
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0):
-        raise ValueError("tau must be positive")
-    if phi < 1:
-        raise ValueError("phi must be >= 1")
-    negative = np.less(y, 0)
-    y = np.where(negative, 0, y)
-    log_p = (
-        _lgamma_terms(y, phi)
-        + y * np.log(tau / (tau + phi))
-        + phi * np.log(phi / (tau + phi))
-    )
-    return np.where(negative, -np.inf, log_p)[()]
 
 
 def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
@@ -311,22 +269,27 @@ def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
 def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under the given parameters.
 
-    Finite for every valid parameter vector thanks to the sigmoid floor.
-    Equals -sum(nb_log_pmf(y_c, tau(t_c), phi)) up to rounding, regrouped
-    as the dataset's cached phi-only sum plus the tau-dependent part
+    The objective of make_objective(data) at (k_g, t_g, mu_g, phi_g), so it
+    applies the objective's phi rule: phi_g above MAX_PHI (2**20) raises
+    ValueError.  Finite for every valid parameter vector thanks to the
+    sigmoid floor.  It is minus the sum over cells of
 
-        sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
+        log NB(y; tau, phi) = lgamma(y+phi) - lgamma(y+1) - lgamma(phi)
+            + y*log(tau/(tau+phi)) + phi*log(phi/(tau+phi)),
+
+    regrouped as the dataset's cached phi-only sum plus the tau-dependent
+    part sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
     """
-    ktm = np.array([[params.k_g, params.t_g, params.mu_g]])
-    return float(_nll_fn(data)(ktm, np.array([float(params.phi_g)]))[0])
+    return make_objective(data)([params.k_g, params.t_g, params.mu_g, float(params.phi_g)])
 
 
 def check_fit_bounds(k_bounds, phi_max) -> tuple[float, float]:
     """Check the caller-supplied k bounds and phi_max of the fit box; return
     the k bounds as floats.
 
-    phi_max is at most MAX_PHI (2**20), up to which the likelihood keeps its
-    stated accuracy.
+    phi_max is an integer in [1, MAX_PHI], as an int or an integral float:
+    the box top is a phi the decoder gives, and up to MAX_PHI (2**20) the
+    likelihood keeps its stated accuracy.
     ExperimentConfig calls this when it is built, before any data is made
     or read, and build_domain calls it for callers that pass bounds directly.
     """
@@ -344,6 +307,8 @@ def check_fit_bounds(k_bounds, phi_max) -> tuple[float, float]:
     if phi_max > MAX_PHI:
         raise ValueError(f"phi_max must be at most 2**20 = {MAX_PHI}, "
                          "up to which the likelihood is accurate to about 1e-9 relative")
+    if not float(phi_max).is_integer():  # nan fails both comparisons above
+        raise ValueError(f"phi_max must be an integer, got {phi_max}")
     return k_lo, k_hi
 
 

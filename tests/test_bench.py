@@ -259,6 +259,9 @@ class TestRunExperiment:
             ({"k_bounds": (-1e308, 1e308)}, "domain span upper - lower must be finite"),
             ({"phi_max": 0}, "phi_max must be >= 1"),
             ({"phi_max": MAX_PHI + 1}, "phi_max must be at most 2**20"),
+            ({"phi_max": 1.5}, "phi_max must be an integer, got 1.5"),
+            ({"phi_max": 100.5}, "phi_max must be an integer, got 100.5"),
+            ({"phi_max": math.nan}, "phi_max must be an integer, got nan"),
         ],
     )
     def test_invalid_box_knobs_rejected_at_construction(self, knobs, message):

@@ -29,23 +29,13 @@ from swarmfit.model import (
     TAU_FLOOR,
     Dataset,
     NbParams,
-    _lgamma_terms,
     load_dataset,
-    nb_log_pmf,
     neg_log_likelihood,
     save_dataset,
     sigmoid_mean,
 )
 
-
-def rational_log_pmf(y: int, tau: Fraction, phi: int) -> float:
-    """Exact-rational evaluation of the NB pmf, then log via integer logs."""
-    p = (
-        Fraction(math.comb(y + phi - 1, y))
-        * Fraction(tau, tau + phi) ** y
-        * Fraction(phi, tau + phi) ** phi
-    )
-    return math.log(p.numerator) - math.log(p.denominator)
+from nb_reference import fit_log_pmf, gammaln_log_pmf, rational_log_pmf
 
 
 class TestNbParams:
@@ -174,17 +164,19 @@ class TestSigmoidMean:
 
 
 class TestNbLogPmf:
+    """The fit's own likelihood of one cell (fit_log_pmf) is the NB log-pmf."""
+
     def test_zero_count_reduces_to_tail_term(self):
         for tau in (0.5, 2.0, 9.0):
             for phi in (1, 3, 40):
-                expected = phi * np.log(phi / (tau + phi))
-                assert nb_log_pmf(0, tau, phi) == expected
+                expected = phi * math.log(phi / (tau + phi))
+                assert fit_log_pmf(0, tau, phi) == pytest.approx(expected, rel=1e-12)
 
     def test_geometric_special_case(self):
         # tau = phi = 1 is geometric with success probability 1/2
-        assert nb_log_pmf(0, 1.0, 1) == pytest.approx(math.log(0.5), rel=1e-14)
+        assert fit_log_pmf(0, 1.0, 1) == pytest.approx(math.log(0.5), rel=1e-14)
         for y in range(20):
-            assert nb_log_pmf(y, 1.0, 1) == pytest.approx(
+            assert fit_log_pmf(y, 1.0, 1) == pytest.approx(
                 -(y + 1) * math.log(2.0), rel=1e-12
             )
 
@@ -192,21 +184,14 @@ class TestNbLogPmf:
         # pmf(1; tau=2, phi=3) = 3 * (2/5) * (3/5)^3 = 162/625
         expected = rational_log_pmf(1, Fraction(2), 3)
         assert expected == pytest.approx(math.log(162 / 625), rel=1e-12)
-        assert nb_log_pmf(1, 2.0, 3) == pytest.approx(expected, rel=1e-12)
+        assert fit_log_pmf(1, 2.0, 3) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("tau", [1, 2, 6])
     @pytest.mark.parametrize("phi", [1, 3, 25])
     def test_rational_consistency_grid(self, tau, phi):
         for y in range(51):
             expected = rational_log_pmf(y, Fraction(tau), phi)
-            got = float(nb_log_pmf(y, float(tau), phi))
-            assert got == pytest.approx(expected, rel=1e-10)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ValueError):
-            nb_log_pmf(1, 0.0, 2)
-        with pytest.raises(ValueError):
-            nb_log_pmf(1, -1.0, 2)
+            assert fit_log_pmf(y, float(tau), phi) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("tau", [0.5, 1.0, 6.0, 12.0])
     @pytest.mark.parametrize("phi", [1, 2, 25, 80])
@@ -214,7 +199,7 @@ class TestNbLogPmf:
         variance = tau + tau**2 / phi
         y_max = int(10 * variance + 200)
         ys = np.arange(y_max + 1)
-        pmf = np.exp(nb_log_pmf(ys, tau, phi))
+        pmf = np.exp([fit_log_pmf(y, tau, phi) for y in ys.tolist()])
         total = pmf.sum()
         assert total >= 1.0 - 1e-6
         mean = float(ys @ pmf)
@@ -245,7 +230,7 @@ class TestNegLogLikelihood:
         params = NbParams(5.0, 0.4, 3.0, 7)
         tau = sigmoid_mean(0.3, params)
         assert neg_log_likelihood(params, data) == pytest.approx(
-            -float(nb_log_pmf(4, tau, 7)), rel=1e-14
+            -rational_log_pmf(4, Fraction(tau), 7), rel=1e-14
         )
 
     def test_additive_over_concatenation(self):
@@ -290,6 +275,18 @@ class TestNegLogLikelihood:
             exact = exact_nll(data, params)
             assert nll > 0
             assert abs(Decimal(nll) - exact) <= Decimal("5e-9") * exact, (phi, nll, exact)
+
+    def test_applies_the_objectives_phi_rule(self):
+        # neg_log_likelihood is the objective at (k, t0, mu, phi): equal up to
+        # MAX_PHI, and rejected past it, where the likelihood loses accuracy
+        data = generate_dataset(get_setting(4), 1)
+        truth = get_setting(4).params
+        at_cap = dataclasses.replace(truth, phi_g=MAX_PHI)
+        x = [truth.k_g, truth.t_g, truth.mu_g, float(MAX_PHI)]
+        assert neg_log_likelihood(at_cap, data) == make_objective(data)(x)
+        for phi in (MAX_PHI + 1, 2**40):
+            with pytest.raises(ValueError, match=f"round to at most {MAX_PHI}"):
+                neg_log_likelihood(dataclasses.replace(truth, phi_g=phi), data)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
@@ -363,14 +360,14 @@ def quiet_domain(data):
 
 
 def summed_pmf_nll(x, data):
-    """Reference: -sum of the per-cell nb_log_pmf, and the magnitude of the
+    """Reference: -sum of the per-cell gammaln_log_pmf, and the magnitude of the
     terms the folded NLL adds up, which bounds its rounding error.  Rounding
     tau+phi costs about one ulp of log(tau+phi) in absolute terms, so each
     (y+phi)*log(tau+phi) term counts as at least y+phi."""
     params = decode_position(x)
     phi = params.phi_g
     tau = sigmoid_mean(data.times, params)
-    ref = -float(np.sum(nb_log_pmf(data.counts, tau, phi)))
+    ref = -float(np.sum(gammaln_log_pmf(data.counts, tau, phi)))
     y = data.counts
     magnitude = float(len(data) * phi * math.log(phi)
                       + y @ np.abs(np.log(tau)) + (y + phi) @ (np.log(tau + phi) + 1.0))
@@ -490,8 +487,13 @@ def phi_lists(draw):
 
 
 def per_phi_terms(data, phi):
-    """Reference: the phi-only sum of one phi on its own, by a 1-d dot."""
-    return float(data._mult @ _lgamma_terms(data._distinct, phi)) + len(data) * phi * math.log(phi)
+    """Reference: the phi-only sum of one phi on its own, each distinct
+    count's lgamma(y + phi) - lgamma(y + 1) - lgamma(phi) by math.lgamma,
+    summed against the multiplicities by a 1-d dot."""
+    lgamma = np.vectorize(math.lgamma, otypes=[float])
+    y = data._distinct
+    terms = lgamma(y + phi) - lgamma(y + 1) - math.lgamma(phi)
+    return float(data._mult @ terms) + len(data) * phi * math.log(phi)
 
 
 def reference_nll(x, data):
@@ -525,21 +527,15 @@ class TestObjectiveProperties:
     @PROPERTY
     @given(y=st.lists(st.integers(0, 10**5), min_size=1, max_size=8), phi=st.integers(1, 200))
     def test_lgamma_terms_match_gammaln(self, y, phi):
-        y = np.array(y, dtype=float)
+        # the phi fill against scipy's gammaln: each distinct count's terms
+        # within 1e-15 of their parts' magnitude, weighted by its
+        # multiplicity, and one ulp for adding C*phi*log(phi)
+        data = Dataset(np.zeros(len(y)), y)
+        y, mult = data._distinct, data._mult
         parts = (gammaln(y + phi), gammaln(y + 1), gammaln(phi))
-        ref = parts[0] - parts[1] - parts[2]
-        bound = 1e-15 * sum(np.abs(p) for p in parts)
-        assert np.all(np.abs(_lgamma_terms(y, phi) - ref) <= bound)
-        assert abs(_lgamma_terms(y[0], phi) - ref[0]) <= bound[0]
-
-    @PROPERTY
-    @given(phi=st.integers(1, 200), draw=st.data(), tau=st.floats(1e-6, 1e4))
-    def test_log_pmf_is_minus_inf_at_negative_counts(self, phi, draw, tau):
-        # lgamma(y+1) has its pole at every negative y; at y <= -phi
-        # lgamma(y+phi) has one too, and the terms would give inf - inf = nan
-        y = draw.draw(st.integers(-3 * phi, -1))
-        assert nb_log_pmf(y, tau, phi) == -math.inf
-        assert nb_log_pmf(np.array([y, 0]), tau, phi)[0] == -math.inf
+        ref = mult @ (parts[0] - parts[1] - parts[2]) + len(data) * phi * math.log(phi)
+        bound = 1e-15 * (mult @ sum(np.abs(p) for p in parts)) + math.ulp(ref)
+        assert abs(data._phi_terms([phi])[0] - ref) <= bound
 
     @PROPERTY
     @given(setting_id=st.integers(1, 6), seed=st.integers(0, 2**32), draw=st.data())
