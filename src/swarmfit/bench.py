@@ -34,7 +34,7 @@ from .model import (
     save_dataset,
     sigmoid_mean,
 )
-from .pso import SwarmConfig, Topology, optimize
+from .pso import SwarmConfig, Topology, check_integers, optimize
 from .simulate import generate_dataset, get_setting
 
 _MASK64 = (1 << 64) - 1
@@ -80,12 +80,8 @@ class ExperimentConfig:
     data_seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        for name in ("master_seed", "data_seed"):
-            value = getattr(self, name)
-            if not 0 <= value < 2**64:
-                raise ValueError(f"{name} must be in [0, 2**64), got {value}")
+        check_integers(self, 1, "restarts")
+        check_integers(self, 0, "master_seed", "data_seed")
         check_fit_bounds(self.k_bounds, self.phi_max)
         object.__setattr__(self, "k_bounds", tuple(self.k_bounds))
 

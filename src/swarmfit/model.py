@@ -29,7 +29,7 @@ from .pso import BoxDomain
 TAU_FLOOR = 1e-12
 # Lower guard on the mu box when the smallest observed count is 0.
 MU_FLOOR = 1e-6
-# Largest count accepted: the largest integer a float (the likelihood's copy
+# Largest count accepted: the largest integer a float (the objective's plane
 # of the counts) holds exactly.
 MAX_COUNT = 2**53
 # Largest dispersion accepted.  The phi-only sum C*phi*log(phi) cancels against
@@ -70,7 +70,7 @@ def _aligned_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NbParams:
-    """Model parameter vector (k_g, t_g, mu_g, phi_g); immutable.
+    """Model parameter vector (k_g, t_g, mu_g, phi_g), all finite; immutable.
 
     k_g: activation strength (sign gives up- vs down-regulation).
     t_g: activation time, in pseudotime units.
@@ -85,7 +85,10 @@ class NbParams:
 
     def __post_init__(self):
         for name in ("k_g", "t_g", "mu_g"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         if not float(self.phi_g).is_integer():
             raise ValueError(f"phi_g must be an integer, got {self.phi_g}")
         object.__setattr__(self, "phi_g", int(self.phi_g))
@@ -99,17 +102,16 @@ class NbParams:
 class Dataset:
     """Paired (pseudotime, count) observations for a single gene.
 
-    Immutable: times, counts and their private copies are read-only arrays.
+    Immutable: times, counts and the private arrays below are read-only.
     The likelihood terms free of tau sum to one float per integer phi,
     computed from the distinct counts, their multiplicities and their
-    lgamma(y + 1) row, made once, and cached as needed, so each evaluation
-    only does per-cell work that depends on tau.  times and the float copy
-    of the counts are held in 64-byte-aligned copies (see _aligned_empty).
+    lgamma(y + 1) row, made once, and cached as needed, so an evaluation
+    (make_objective) only does per-cell work that depends on tau.  times is
+    held in a 64-byte-aligned copy (see _aligned_empty), counts as int64.
     """
 
     times: np.ndarray
     counts: np.ndarray
-    _y: np.ndarray = field(init=False, repr=False)
     _distinct: np.ndarray = field(init=False, repr=False)
     _mult: np.ndarray = field(init=False, repr=False)
     _lgamma_y1: np.ndarray = field(init=False, repr=False)
@@ -135,12 +137,12 @@ class Dataset:
             if not np.all(np.isfinite(counts)) or np.any(counts != np.floor(counts)):
                 raise ValueError("counts must be integers")
         counts = counts.astype(np.int64)
-        t, y = _aligned_empty(times.shape), _aligned_empty(counts.shape)
-        t[:], y[:] = times, counts
+        t = _aligned_empty(times.shape)
+        t[:] = times
         distinct, mult = np.unique(counts, return_counts=True)
         distinct = distinct.astype(float)
         lgamma_y1 = np.array([math.lgamma(v) for v in (distinct + 1).tolist()])
-        arrays = {"times": t, "counts": counts, "_y": y, "_distinct": distinct,
+        arrays = {"times": t, "counts": counts, "_distinct": distinct,
                   "_mult": mult.astype(float), "_lgamma_y1": lgamma_y1}
         for name, array in arrays.items():
             array.flags.writeable = False
@@ -203,69 +205,6 @@ def sigmoid_mean(t, params: NbParams):
         return _tau(t, -params.k_g, params.t_g, 2.0 * params.mu_g, np.empty_like(t))[()]
 
 
-def _nll_fn(data: Dataset) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Bind the NLL to data: returns nll(ktm, phis) -> (n,) values.
-
-    Row i of the (n, 3) float array ktm holds (k, t0, mu) and phis[i] is its
-    integer dispersion, held as a float.  Rows are evaluated in blocks of
-    max(1, _BLOCK_CELLS // C) in two (2, rows, C) stacks owned by this
-    binding, so a call allocates no array of the swarm's cells and must not
-    run on two threads at once.  logs gets tau in plane 0 and tau + phi in
-    plane 1; ys holds y in plane 0, copied once, and gets y + phi in plane 1.
-    So one np.log takes a block's logs, and one np.vecdot its two sums over
-    cells, y.log(tau) and (y + phi).log(tau + phi), running numpy's 1-d dot
-    (BLAS ddot) on each (plane, row) pair: a row's value does not depend on
-    its block and equals a per-row ndarray.dot bit for bit, while a matrix
-    product (A @ y, einsum) sums in another order.  _tau floors a whole
-    block when any of its taus needs it, which leaves every other row as it
-    is; overflow is silenced once per call.  A block of several rows runs on
-    operands of its own shape, (rows, C) copies of t made once and a
-    (4, rows, C) block of (-k, t0, 2*mu, phi) filled per block, since a
-    (rows, 1) or (C,) operand has numpy build a broadcasting iterator and
-    buffer the whole block on each call; a one-row block runs on 1-d views
-    with 0-d operands, which need no such iterator.
-    """
-    t, phi_terms = data.times, data._phi_terms
-    rows = max(1, _BLOCK_CELLS // len(data))
-    logs, ys = _aligned_empty((2, rows, len(data))), _aligned_empty((2, rows, len(data)))
-    ys[0] = data._y
-    if rows > 1:
-        full_t = _aligned_empty((rows, len(data)))
-        full_t[:] = t
-        full_par = _aligned_empty((4, rows, len(data)))
-
-    def nll(ktm: np.ndarray, phis: np.ndarray) -> np.ndarray:
-        n = len(phis)
-        par = np.empty((4, n))  # rows -k, t0, 2*mu, phi
-        np.multiply(ktm.T, _PAR_SCALE, par[:3])
-        par[3] = phis
-        sums = np.empty((2, n))
-        with np.errstate(over="ignore"):  # see _tau
-            for r0 in range(0, n, rows):
-                r1 = r0 + rows
-                logs_b, ys_b = logs[:, : n - r0], ys[:, : n - r0]
-                # numpy runs 1-d rows with scalar operands without its
-                # broadcasting iterator, which saves about 4% at C = 20000
-                if len(ys_b[0]) == 1:
-                    (tau, tau_phi), (y_r, y_phi) = logs_b[:, 0], ys_b[:, 0]
-                    (neg_k, t_mid, two_mu, phi_r), t_r = par[:, r0], t
-                else:
-                    (tau, tau_phi), (y_r, y_phi) = logs_b, ys_b
-                    np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
-                    (neg_k, t_mid, two_mu, phi_r), t_r = full_par[:, : n - r0], full_t[: n - r0]
-                _tau(t_r, neg_k, t_mid, two_mu, tau)
-                np.add(tau, phi_r, tau_phi)
-                np.log(logs_b, logs_b)
-                np.add(y_r, phi_r, y_phi)
-                np.vecdot(ys_b, logs_b, out=sums[:, r0:r1])
-        values = phi_terms(phis.tolist())
-        values += sums[0]
-        values -= sums[1]
-        return np.negative(values, values)
-
-    return nll
-
-
 def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
     """Negative log-likelihood of the dataset under the given parameters.
 
@@ -277,8 +216,7 @@ def neg_log_likelihood(params: NbParams, data: Dataset) -> float:
         log NB(y; tau, phi) = lgamma(y+phi) - lgamma(y+1) - lgamma(phi)
             + y*log(tau/(tau+phi)) + phi*log(phi/(tau+phi)),
 
-    regrouped as the dataset's cached phi-only sum plus the tau-dependent
-    part sum(y_c*log(tau_c)) - sum((y_c+phi)*log(tau_c+phi)).
+    regrouped as make_objective sums it.
     """
     return make_objective(data)([params.k_g, params.t_g, params.mu_g, float(params.phi_g)])
 
@@ -343,55 +281,104 @@ def build_domain(
     )
 
 
-def decode_position(x) -> NbParams:
-    """Map a 4-d search vector to model parameters.
+def _check_points(x, max_ndim: int) -> np.ndarray:
+    """x as a float array of 4-coordinate points of at most max_ndim dimensions;
+    ValueError for another shape, a ragged nesting or a point with mu <= 0."""
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # a ragged nesting of coordinates
+        raise ValueError("x must hold 4 coordinates per point") from None
+    if x.shape[-1:] != (4,) or x.ndim > max_ndim:
+        shapes = "(4,)" if max_ndim == 1 else "(4,) or (n, 4)"
+        raise ValueError(f"x must hold 4 coordinates per point, shape {shapes}, got {x.shape}")
+    if (x[..., 2] <= 0).any():
+        raise ValueError("mu_g must be positive")
+    return x
 
-    The first three coordinates pass through; the dispersion coordinate is
-    rounded by _round_phi, which makes the objective piecewise constant in
-    that coordinate, and raises ValueError for one that is not finite or
-    rounds past MAX_PHI.
+
+def decode_position(x) -> NbParams:
+    """Map one search point, shape (4,), to model parameters.
+
+    x is checked as the objective checks a point (_check_points).  The first
+    three coordinates pass through; the dispersion coordinate is rounded by
+    _round_phi, which makes the objective piecewise constant in it, and
+    raises ValueError for one that is not finite or rounds past MAX_PHI.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_points(x, 1)
     return NbParams(float(x[0]), float(x[1]), float(x[2]), int(_round_phi(x[3:4])[0]))
 
 
-def _round_phi(v):
-    """Dispersion coordinates (n,) -> integer phis, held as floats: round half
-    up, clamp below at 1.  ValueError unless each is finite and rounds to at
-    most MAX_PHI, that is, lies below MAX_PHI + 0.5."""
+def _round_phi(v, out=None):
+    """Dispersion coordinates (n,) -> integer phis, held as floats, in out
+    if given: round half up, clamp below at 1.  ValueError unless each is
+    finite and rounds to at most MAX_PHI, that is, lies below MAX_PHI + 0.5."""
     if not (np.minimum.reduce(v, initial=np.inf) > -np.inf
             and np.maximum.reduce(v, initial=-np.inf) < MAX_PHI + 0.5):
         raise ValueError(f"the phi coordinate must be finite and round to at most {MAX_PHI}")
-    return np.maximum(np.floor(v + 0.5), _ONE)
+    return np.maximum(np.floor(v + 0.5), _ONE, out=out)
 
 
 def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
     """Objective over the 4-d search box: x -> NLL(decode_position(x), data).
 
     x is one point, shape (4,), which gives a float, or a stack of points,
-    shape (n, 4), which gives their (n,) values; any other shape raises
-    ValueError, and so does a point with mu <= 0 or a phi coordinate that
-    _round_phi rejects.  Every point's value is the same bit for bit either
-    way, and equal to neg_log_likelihood(decode_position(x), data);
-    permutation of the dataset rows leaves it unchanged pointwise.
-    The objective's ``batched`` attribute is True, which tells pso to
-    evaluate a whole swarm in one call.  Each objective owns the scratch
-    buffers it evaluates in, so a call allocates no per-cell array; build
-    one objective per thread.
+    shape (n, 4), which gives their (n,) values; ValueError for another
+    shape, mu <= 0 or a phi that _round_phi rejects (see _check_points).  Each
+    point's value is the same bit for bit either way, equals
+    neg_log_likelihood(decode_position(x), data) and is unchanged by permuting
+    the dataset's rows.  ``batched`` is True: pso evaluates a swarm in one call.
+
+    The value is -(phi_terms + sum(y*log(tau)) - sum((y + phi)*log(tau + phi))),
+    phi_terms being the dataset's cached phi-only sum.  Points run in blocks of
+    max(1, _BLOCK_CELLS // C) rows in two (2, rows, C) stacks this objective
+    owns, so a call allocates no per-cell array; build one per thread.  logs
+    gets tau and tau + phi, ys the counts (filled here, exact up to 2**53) and
+    y + phi, so one np.log and one np.vecdot, a 1-d BLAS ddot per (plane, row),
+    serve a block, and a row's value does not depend on its block, as it would
+    under a matrix product.  Blocks of several rows run on (rows, C) operands,
+    since a (rows, 1) or (C,) operand makes numpy build a broadcasting iterator
+    and buffer the block per call; a one-row block runs on 1-d views with 0-d
+    operands, which need none.
     """
-    nll = _nll_fn(data)
+    t, phi_terms = data.times, data._phi_terms
+    rows = max(1, _BLOCK_CELLS // len(data))
+    logs, ys = _aligned_empty((2, rows, len(data))), _aligned_empty((2, rows, len(data)))
+    ys[0] = data.counts
+    if rows > 1:
+        full_t = _aligned_empty((rows, len(data)))
+        full_t[:] = t
+        full_par = _aligned_empty((4, rows, len(data)))
 
     def objective(x: np.ndarray) -> float | np.ndarray:
-        try:
-            x = np.asarray(x, dtype=float)
-        except (TypeError, ValueError):  # a ragged nesting of coordinates
-            raise ValueError("x must hold 4 coordinates per point") from None
-        if x.shape[-1:] != (4,) or x.ndim > 2:
-            raise ValueError(f"x must hold 4 coordinates per point, got shape {x.shape}")
+        x = _check_points(x, 2)
         points = x.reshape(-1, 4)
-        if (points[:, 2] <= 0).any():
-            raise ValueError("mu_g must be positive")
-        values = nll(points[:, :3], _round_phi(points[:, 3]))
+        n = len(points)
+        par = np.empty((4, n))  # rows -k, t0, 2*mu, phi
+        np.multiply(points[:, :3].T, _PAR_SCALE, par[:3])
+        _round_phi(points[:, 3], par[3])
+        sums = np.empty((2, n))
+        with np.errstate(over="ignore"):  # see _tau
+            for r0 in range(0, n, rows):
+                r1 = r0 + rows
+                logs_b, ys_b = logs[:, : n - r0], ys[:, : n - r0]
+                # numpy runs 1-d rows with scalar operands without its
+                # broadcasting iterator, which saves about 4% at C = 20000
+                if len(ys_b[0]) == 1:
+                    (tau, tau_phi), (y_r, y_phi) = logs_b[:, 0], ys_b[:, 0]
+                    (neg_k, t_mid, two_mu, phi_r), t_r = par[:, r0], t
+                else:
+                    (tau, tau_phi), (y_r, y_phi) = logs_b, ys_b
+                    np.copyto(full_par[:, : n - r0], par[:, r0:r1, None])
+                    (neg_k, t_mid, two_mu, phi_r), t_r = full_par[:, : n - r0], full_t[: n - r0]
+                _tau(t_r, neg_k, t_mid, two_mu, tau)
+                np.add(tau, phi_r, tau_phi)
+                np.log(logs_b, logs_b)
+                np.add(y_r, phi_r, y_phi)
+                np.vecdot(ys_b, logs_b, out=sums[:, r0:r1])
+        values = phi_terms(par[3].tolist())
+        values += sums[0]
+        values -= sums[1]
+        np.negative(values, values)
         return values if x.ndim == 2 else float(values[0])
 
     objective.batched = True

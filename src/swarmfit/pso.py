@@ -86,6 +86,20 @@ class BoxDomain:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
 
 
+def check_integers(config, low: int, *names: str) -> None:
+    """Hold each named field of the frozen dataclass config as an int;
+    ValueError naming the field unless it is an integer in [low, 2**64)."""
+    for name in names:
+        value = getattr(config, name)
+        try:
+            valid = int(value) == value and low <= value < 2**64
+        except (TypeError, ValueError, OverflowError):  # None, nan, inf
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer in [{low}, 2**64), got {value!r}")
+        object.__setattr__(config, name, int(value))
+
+
 @dataclass(frozen=True)
 class SwarmConfig:
     """Tuning parameters for one optimization run.
@@ -109,17 +123,11 @@ class SwarmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_integers(self, 1, "n_particles", "m_neighbors", "n_iterations")
+        check_integers(self, 0, "seed")
         object.__setattr__(self, "topology", Topology(self.topology))
-        if self.n_particles < 1:
-            raise ValueError("n_particles must be >= 1")
-        if self.n_iterations < 1:
-            raise ValueError("n_iterations must be >= 1")
-        if self.m_neighbors < 1:
-            raise ValueError(f"m_neighbors must be >= 1, got {self.m_neighbors}")
         if self.topology is Topology.LBEST and self.m_neighbors > self.n_particles:
             raise ValueError(f"lbest needs m_neighbors <= n_particles, got {self.m_neighbors}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
         for name in ("w", "c1", "c2"):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -229,15 +237,13 @@ def _squared_distances(columns: np.ndarray) -> np.ndarray:
     """(n, n) sums of squared coordinate differences between particles, from
     their coordinates as the rows of columns (d, n)."""
     # one (n, n) plane of squared differences per dimension, added in
-    # dimension order: for d < 8 that is how np.linalg.norm adds over the last
-    # axis, so distances and their ties match it bit for bit (from d = 8 numpy
-    # adds pairwise and the last bit can differ)
+    # dimension order by the axis-0 reduce, which adds planes in order, not
+    # pairwise: for d < 8 that is how np.linalg.norm adds over the last axis, so
+    # distances and their ties match it bit for bit (from d = 8 numpy adds
+    # pairwise and the last bit can differ)
     squared = columns[:, None, :] - columns[:, :, None]
     np.multiply(squared, squared, squared)
-    sums = squared[0]
-    for plane in squared[1:]:
-        sums += plane
-    return sums
+    return np.add.reduce(squared, axis=0)
 
 
 def _rescaled_distances(columns: np.ndarray) -> np.ndarray:

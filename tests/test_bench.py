@@ -270,6 +270,34 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(**knobs)
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (SwarmConfig, "n_particles", 2.5),
+            (SwarmConfig, "n_iterations", 10.5),
+            (SwarmConfig, "m_neighbors", 1.5),
+            (SwarmConfig, "seed", 1.5),
+            (SwarmConfig, "seed", math.nan),
+            (ExperimentConfig, "restarts", 2.5),
+            (ExperimentConfig, "master_seed", 1.5),
+            (ExperimentConfig, "data_seed", math.inf),
+            (ExperimentConfig, "data_seed", "3"),
+        ],
+    )
+    def test_non_integral_counts_and_seeds_rejected_at_construction(self, make, name, value):
+        # these failed later with a TypeError: n_particles inside optimize,
+        # master_seed in mix64, seed in default_rng
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in "):
+            make(**{name: value})
+
+    def test_integral_floats_are_held_as_ints(self):
+        swarm = SwarmConfig(n_particles=4.0, m_neighbors=2.0, n_iterations=3.0, seed=7.0)
+        cfg = ExperimentConfig(restarts=2.0, swarm=swarm, master_seed=1.0, data_seed=2.0)
+        values = [swarm.n_particles, swarm.m_neighbors, swarm.n_iterations, swarm.seed,
+                  cfg.restarts, cfg.master_seed, cfg.data_seed]
+        assert values == [4, 2, 3, 7, 2, 1, 2]
+        assert all(type(v) is int for v in values)
+
 
 class TestResultsTable:
     def test_reference_row(self):
@@ -417,7 +445,7 @@ class TestInputsAreValues:
         data = Dataset(np.array([0.1, 0.5, 0.9]), np.array([1, 5, 3]))
         domain = build_domain(data)
         for array in (domain.lower, domain.upper, data.times, data.counts,
-                      data._y, data._distinct, data._mult):
+                      data._distinct, data._mult):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.5
 

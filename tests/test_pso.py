@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from swarmfit import BoxDomain, SwarmConfig, optimize
 from swarmfit.pso import (
     Swarm,
     Topology,
+    _squared_distances,
     init_swarm,
     position_update,
     select_neighborhood_best,
@@ -373,6 +375,20 @@ def lbest_swarms(draw):
         values = rng.random(n)
     swarm = make_swarm(positions, values, pbest_positions=rng.normal(size=(n, d)))
     return swarm, int(rng.integers(1, n + 1))
+
+
+class TestSquaredDistances:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), d=st.integers(1, 12), n=st.sampled_from([1, 2]) | st.integers(1, 12))
+    def test_planes_are_added_in_dimension_order(self, data, d, n):
+        # an axis-0 reduce adds the planes in order, not pairwise: byte for
+        # byte the loop it replaced
+        columns = data.draw(arrays(float, (d, n), elements=st.floats(-1e6, 1e6)))
+        diff = columns[:, None, :] - columns[:, :, None]
+        expected = diff[0] * diff[0]
+        for plane in diff[1:]:
+            expected += plane * plane
+        assert _squared_distances(columns).tobytes() == expected.tobytes()
 
 
 class TestSelectNeighborhoodBest:
