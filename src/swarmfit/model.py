@@ -22,16 +22,19 @@ from typing import Callable
 
 import numpy as np
 
-from .pso import BoxDomain
+from .pso import MAX_MAGNITUDE, BoxDomain
 
 # Floor on the sigmoid mean: keeps log(tau) finite when the exponential
 # saturates or overflows, so the objective is finite everywhere on the box.
 TAU_FLOOR = 1e-12
 # Lower guard on the mu box when the smallest observed count is 0.
 MU_FLOOR = 1e-6
-# Largest count accepted: the largest integer a float (the objective's plane
-# of the counts) holds exactly.
-MAX_COUNT = 2**53
+# Largest count accepted.  The objective's sum((y + phi)*log(tau + phi)) -
+# sum(y*log(tau)) cancels at large counts: on the two-cell counts [1, Y] at
+# mu = Y/2, k up to +-20 and phi up to 200, the NLL was within 2.6e-9 relative
+# of an exact 40-digit reference at Y = 2**24 - 1 and 2**24, near its accuracy
+# at MAX_PHI, and off by 1.0 relative at Y = 2**53.
+MAX_COUNT = 2**24
 # Largest dispersion accepted.  The phi-only sum C*phi*log(phi) cancels against
 # sum((y + phi)*log(tau + phi)): against an exact 40-digit reference the NLL was
 # within 1.6e-9 relative at phi = 2**20 on the six settings' data, off by up to
@@ -132,7 +135,8 @@ class Dataset:
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
         if np.any(counts > MAX_COUNT):
-            raise ValueError(f"counts must be at most 2**53 = {MAX_COUNT}")
+            raise ValueError(f"counts must be at most 2**24 = {MAX_COUNT}, "
+                             "up to which the likelihood is accurate to about 1e-9 relative")
         if not np.issubdtype(counts.dtype, np.integer):
             if not np.all(np.isfinite(counts)) or np.any(counts != np.floor(counts)):
                 raise ValueError("counts must be integers")
@@ -225,21 +229,19 @@ def check_fit_bounds(k_bounds, phi_max) -> tuple[float, float]:
     """Check the caller-supplied k bounds and phi_max of the fit box; return
     the k bounds as floats.
 
-    phi_max is an integer in [1, MAX_PHI], as an int or an integral float:
-    the box top is a phi the decoder gives, and up to MAX_PHI (2**20) the
-    likelihood keeps its stated accuracy.
+    The k bounds lie within +-MAX_MAGNITUDE (2**256), as every BoxDomain
+    bound does.  phi_max is an integer in [1, MAX_PHI], as an int or an
+    integral float: the box top is a phi the decoder gives, and up to MAX_PHI
+    (2**20) the likelihood keeps its stated accuracy.
     ExperimentConfig calls this when it is built, before any data is made
     or read, and build_domain calls it for callers that pass bounds directly.
     """
     k_lo, k_hi = float(k_bounds[0]), float(k_bounds[1])
-    if not (math.isfinite(k_lo) and math.isfinite(k_hi)):
-        raise ValueError(f"k_bounds must be finite, got ({k_lo}, {k_hi})")
+    if not (abs(k_lo) <= MAX_MAGNITUDE and abs(k_hi) <= MAX_MAGNITUDE):  # BoxDomain's rule
+        raise ValueError(f"k_bounds must be finite and at most 2**256 in magnitude, "
+                         f"got ({k_lo}, {k_hi})")
     if not k_lo < k_hi:
         raise ValueError("k_bounds must satisfy lower < upper")
-    if not math.isfinite(k_hi - k_lo):  # which BoxDomain would reject
-        raise ValueError(
-            f"domain span upper - lower must be finite, got k_bounds ({k_lo}, {k_hi})"
-        )
     if phi_max < 1:
         raise ValueError("phi_max must be >= 1")
     if phi_max > MAX_PHI:
@@ -283,7 +285,8 @@ def build_domain(
 
 def _check_points(x, max_ndim: int) -> np.ndarray:
     """x as a float array of 4-coordinate points of at most max_ndim dimensions;
-    ValueError for another shape, a ragged nesting or a point with mu <= 0."""
+    ValueError for another shape, a ragged nesting or a point whose k, t0 or mu
+    is not finite or whose mu <= 0, as NbParams rejects it."""
     try:
         x = np.asarray(x, dtype=float)
     except (TypeError, ValueError):  # a ragged nesting of coordinates
@@ -291,8 +294,8 @@ def _check_points(x, max_ndim: int) -> np.ndarray:
     if x.shape[-1:] != (4,) or x.ndim > max_ndim:
         shapes = "(4,)" if max_ndim == 1 else "(4,) or (n, 4)"
         raise ValueError(f"x must hold 4 coordinates per point, shape {shapes}, got {x.shape}")
-    if (x[..., 2] <= 0).any():
-        raise ValueError("mu_g must be positive")
+    if not (np.isfinite(x[..., :3]).all() and (x[..., 2] > 0).all()):
+        raise ValueError("k_g, t_g and mu_g must be finite and mu_g must be positive")
     return x
 
 
@@ -323,16 +326,17 @@ def make_objective(data: Dataset) -> Callable[[np.ndarray], float | np.ndarray]:
 
     x is one point, shape (4,), which gives a float, or a stack of points,
     shape (n, 4), which gives their (n,) values; ValueError for another
-    shape, mu <= 0 or a phi that _round_phi rejects (see _check_points).  Each
-    point's value is the same bit for bit either way, equals
-    neg_log_likelihood(decode_position(x), data) and is unchanged by permuting
-    the dataset's rows.  ``batched`` is True: pso evaluates a swarm in one call.
+    shape, a non-finite k, t0 or mu, mu <= 0 or a phi that _round_phi rejects
+    (see _check_points).  Each point's value is the same bit for bit either
+    way, equals neg_log_likelihood(decode_position(x), data) and is unchanged
+    by permuting the dataset's rows.  ``batched`` is True: pso evaluates a
+    swarm in one call.
 
     The value is -(phi_terms + sum(y*log(tau)) - sum((y + phi)*log(tau + phi))),
     phi_terms being the dataset's cached phi-only sum.  Points run in blocks of
     max(1, _BLOCK_CELLS // C) rows in two (2, rows, C) stacks this objective
     owns, so a call allocates no per-cell array; build one per thread.  logs
-    gets tau and tau + phi, ys the counts (filled here, exact up to 2**53) and
+    gets tau and tau + phi, ys the counts (filled here, exact as floats) and
     y + phi, so one np.log and one np.vecdot, a 1-d BLAS ddot per (plane, row),
     serve a block, and a row's value does not depend on its block, as it would
     under a matrix product.  Blocks of several rows run on (rows, C) operands,

@@ -23,15 +23,12 @@ then set to +inf.
 
 Out-of-box moves are handled with an absorbing boundary: the offending
 coordinate is clamped to the bound and its velocity component is zeroed,
-so every evaluated point is feasible.  That holds also where the velocity
-update overflows, on a box whose span is near the float maximum: a
-coordinate that moves to +-inf or nan is absorbed at a bound, and numpy's
-overflow warnings from the swarm's own arithmetic are silenced.
+so every evaluated point is feasible.  Box bounds and the coefficients w,
+c1 and c2 lie within +-MAX_MAGNITUDE, where no swarm step can overflow.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -41,6 +38,13 @@ import numpy as np
 
 # x (d,) -> float; with a true ``batched`` attribute also (n, d) -> (n,)
 Objective = Callable[[np.ndarray], float | np.ndarray]
+# Largest magnitude of a box bound and of w, c1 and c2.  Inside it a coordinate
+# is at most 2**256 and a difference of two at most 2**257.  A kept velocity is
+# at most a span (a clamped one is 0), so the next is below
+# (|w| + |c1| + |c2|)*2**257 < 2**515, and a sum of d squared differences is at
+# most d*2**514: all far below the float maximum 2**1024, so no swarm step
+# overflows.  nan and +-inf fail the same test, abs(value) <= MAX_MAGNITUDE.
+MAX_MAGNITUDE = 2.0**256
 
 
 class Topology(str, Enum):
@@ -64,14 +68,13 @@ class BoxDomain:
             raise ValueError("domain bounds must be 1-d vectors")
         if self.lower.size != self.upper.size or self.lower.size < 1:
             raise ValueError("lower and upper must have equal length >= 1")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
-            raise ValueError("domain bounds must be finite")
+        bounds = np.concatenate([self.lower, self.upper])
+        outside = bounds[~(np.abs(bounds) <= MAX_MAGNITUDE)]
+        if outside.size:
+            raise ValueError(f"domain bounds must be finite and at most 2**256 in "
+                             f"magnitude, got {outside[0]}")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        with np.errstate(over="ignore"):
-            span = self.span
-        if not np.all(np.isfinite(span)):
-            raise ValueError("domain span upper - lower must be finite")
 
     @property
     def dim(self) -> int:
@@ -105,12 +108,13 @@ class SwarmConfig:
     """Tuning parameters for one optimization run.
 
     ``w``, ``c1`` and ``c2`` are the inertia, cognitive and social
-    coefficients.  They must be finite; values outside [0, 2] are unusual
-    and trigger a warning at construction rather than an error.  Only the
-    local-best topology uses ``m_neighbors``, so only there is it bounded by
-    ``n_particles``.  The random coefficients r1, r2 are drawn once per
-    particle and dimension.  Immutable and checked once, here;
-    ``dataclasses.replace`` derives a variant and checks it.
+    coefficients.  They must be finite and at most MAX_MAGNITUDE (2**256) in
+    magnitude; values outside [0, 2] are unusual and trigger a warning at
+    construction rather than an error.  Only the local-best topology uses
+    ``m_neighbors``, so only there is it bounded by ``n_particles``.  The
+    random coefficients r1, r2 are drawn once per particle and dimension.
+    Immutable and checked once, here; ``dataclasses.replace`` derives a
+    variant and checks it.
     """
 
     w: float = 0.9
@@ -130,8 +134,10 @@ class SwarmConfig:
             raise ValueError(f"lbest needs m_neighbors <= n_particles, got {self.m_neighbors}")
         for name in ("w", "c1", "c2"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            if not abs(value) <= MAX_MAGNITUDE:
+                raise ValueError(
+                    f"{name} must be finite and at most 2**256 in magnitude, got {value}"
+                )
             if not 0.0 <= value <= 2.0:
                 # one warning location, which Python's default filter
                 # reports once per process however many configs are built
@@ -221,10 +227,9 @@ def position_update(x, v_new, domain: BoxDomain):
     """Move to x + v_new with an absorbing boundary.
 
     Clamped coordinates land exactly on the bound and have their velocity
-    component zeroed.  A coordinate whose candidate is nan, as when the
-    velocity update overflows to inf - inf on a box whose span is near the
-    float maximum, counts as outside and lands on its lower bound; +-inf land
-    on the bound they pass.  Returns (position, velocity).
+    component zeroed.  A coordinate whose candidate is nan counts as outside
+    and lands on its lower bound; +-inf land on the bound they pass.  Returns
+    (position, velocity).
     """
     candidate = x + v_new
     position = np.fmin(np.fmax(candidate, domain.lower), domain.upper)  # nan -> lower
@@ -246,19 +251,6 @@ def _squared_distances(columns: np.ndarray) -> np.ndarray:
     return np.add.reduce(squared, axis=0)
 
 
-def _rescaled_distances(columns: np.ndarray) -> np.ndarray:
-    """Distances between finite particles whose sums of squares overflow,
-    computed on the coordinates times 2**-e, with the smallest e that keeps
-    every sum finite.  Scaling by a power of two is exact short of
-    subnormals, so no distance changes its place in the order."""
-    e0 = np.frexp(np.abs(columns).max())[1]  # at 2**-e0 every |x| < 1: no sum overflows
-    largest = _squared_distances(np.ldexp(columns, -e0)).max()
-    # scaled by 4**j, a sum below 2**E stays finite iff E + 2*j <= 1024
-    e = e0 - (1024 - np.frexp(largest)[1]) // 2
-    distances = _squared_distances(np.ldexp(columns, -e))
-    return np.sqrt(distances, distances)
-
-
 def select_neighborhood_best(swarm: Swarm, m: int):
     """Best personal-best record among the m nearest particles, for every particle.
 
@@ -275,10 +267,7 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     unless the row ties at its m-th distance or holds a nan.  So when every
     row has exactly m members, these sets are the neighborhoods; otherwise
     every row is ranked by a stable argsort, which breaks the tie toward the
-    lower index.  On a box whose span passes about 1.3e154 the squares can
-    overflow, which the caller silences; a row whose m-th distance is then
-    inf ties at inf, so the ranking is taken on rescaled distances
-    (_rescaled_distances) instead.
+    lower index.
     """
     n = swarm.n_particles
     if not 1 <= m <= n:
@@ -293,8 +282,6 @@ def select_neighborhood_best(swarm: Swarm, m: int):
     if members.size == n * m:
         hoods = members.reshape(n, m)
     else:
-        if np.isinf(kth).any() and np.isfinite(columns).all():
-            distances = _rescaled_distances(columns)
         hoods = np.sort(np.argsort(distances, axis=1, kind="stable")[:, :m], axis=1)
     # ascending index order inside each neighborhood makes argmin's
     # first-minimum rule break value ties toward the lower index
@@ -320,18 +307,13 @@ def step(
     r1 = rng.random((n, d))
     r2 = rng.random((n, d))
 
-    # on a box whose span is near the float maximum the distances and the
-    # velocity may overflow: position_update absorbs an inf or nan coordinate
-    # and select_neighborhood_best ranks overflowed distances again, so their
-    # warnings are silenced; the objective's are not
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.topology is Topology.GBEST:
-            p_ref = swarm.pbest_positions[np.argmin(swarm.pbest_values)]
-        else:
-            p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
-        v_new = velocity_update(swarm.velocities, swarm.positions, swarm.pbest_positions,
-                                p_ref, config.w, config.c1, config.c2, r1, r2)
-        positions, velocities = position_update(swarm.positions, v_new, domain)
+    if config.topology is Topology.GBEST:
+        p_ref = swarm.pbest_positions[np.argmin(swarm.pbest_values)]
+    else:
+        p_ref = select_neighborhood_best(swarm, config.m_neighbors)[0]
+    v_new = velocity_update(swarm.velocities, swarm.positions, swarm.pbest_positions,
+                            p_ref, config.w, config.c1, config.c2, r1, r2)
+    positions, velocities = position_update(swarm.positions, v_new, domain)
     values = _evaluate_all(objective, positions)
 
     swarm.positions = positions

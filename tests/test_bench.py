@@ -256,7 +256,7 @@ class TestRunExperiment:
         [
             ({"k_bounds": (3.0, 1.0)}, "k_bounds must satisfy lower < upper"),
             ({"k_bounds": (-math.inf, 1.0)}, "k_bounds must be finite"),
-            ({"k_bounds": (-1e308, 1e308)}, "domain span upper - lower must be finite"),
+            ({"k_bounds": (-1e308, 1e308)}, "k_bounds must be finite and at most 2**256 in magnitude"),
             ({"phi_max": 0}, "phi_max must be >= 1"),
             ({"phi_max": MAX_PHI + 1}, "phi_max must be at most 2**20"),
             ({"phi_max": 1.5}, "phi_max must be an integer, got 1.5"),

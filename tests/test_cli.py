@@ -22,6 +22,10 @@ from swarmfit.model import MAX_PHI, load_dataset
 
 FAST = ["--restarts", "3", "--iters", "10", "--particles", "5", "--m", "3"]
 TINY = ["--restarts", "1", "--iters", "1", "--particles", "2", "--m", "1"]
+# the k box and coefficients at the edge of the accepted magnitudes
+EDGE_SWARM = [f"--k-min={-2.0**256!r}", f"--k-max={2.0**256!r}", "--w", 2, "--c1", 2, "--c2", 2]
+# the diagnostic's words for a bound or coefficient past 2**256
+PAST_BOUND = "must be finite and at most 2**256 in magnitude"
 
 
 def run(argv):
@@ -281,22 +285,30 @@ class TestFit:
         "rows, flags, diagnostic",
         [
             # past 2**63 the count used to wrap to -2**63 and the fit exited 0
-            (["0.1,1", f"0.5,{2**63}"], [], "counts must be at most 2**53"),
+            (["0.1,1", f"0.5,{2**63}"], [], "counts must be at most 2**24"),
             # past 2**64 the counts became an object array np.isfinite rejects
-            (["0.1,1", f"0.5,{2**64}"], [], "counts must be at most 2**53"),
+            (["0.1,1", f"0.5,{2**64}"], [], "counts must be at most 2**24"),
             # a span of 2e308 is inf, and drawing the swarm raised OverflowError
-            (["-1e308,1", "1e308,5"], [], "domain span"),
-            (["0.1,1", "0.5,5"], ["--k-min=-1e308", "--k-max=1e308"], "domain span"),
+            (["-1e308,1", "1e308,5"], [], f"domain bounds {PAST_BOUND}, got -1e+308"),
+            (["0.1,1", "0.5,5"], ["--k-min=-1e308", "--k-max=1e308"], f"k_bounds {PAST_BOUND}"),
             # a huge phi_max ended in an OverflowError traceback from the phi cache
             (["0.1,1", "0.5,5"], [f"--phi-max={10**308}"], "phi_max must be at most 2**20"),
             (["0.1,1", "0.5,5"], [f"--phi-max={10**400}"], "phi_max must be at most 2**20"),
             (["0.1,1", "0.5,5"], [{"phi_max": 10**308}], "phi_max must be at most 2**20"),
             (["0.1,1", "0.5,5"], [{"phi_max": 10**400}], "phi_max must be at most 2**20"),
             # a negative number in exponent form after a space was read as a flag
-            (["0.1,1", "0.5,5"], ["--k-min", "-1e308", "--k-max", "1e308"], "domain span"),
+            (["0.1,1", "0.5,5"], ["--k-min", "-1e308", "--k-max", "1e308"], f"k_bounds {PAST_BOUND}"),
             # past 2**20 the likelihood loses accuracy; at 2**53 the NLL fell below 0
             (["0.1,1", "0.5,5"], ["--phi-max", MAX_PHI + 1], "phi_max must be at most 2**20"),
             (["0.1,1", "0.5,5"], ["--phi-max", 2**53], "phi_max must be at most 2**20"),
+            # past 2**24 the likelihood loses accuracy; at 2**53 it lost every digit
+            (["0.1,1", f"0.5,{2**24 + 1}"], [], "counts must be at most 2**24 = 16777216, up to"),
+            # past 2**256 the swarm's distances and velocities could overflow
+            (["0.1,1", "1e300,5"], [], f"domain bounds {PAST_BOUND}, got 1e+300"),
+            (["0.1,1", "0.5,5"], ["--k-min=-1e300"], f"k_bounds {PAST_BOUND}, got (-1e+300, 20.0)"),
+            (["0.1,1", "0.5,5"], [{"k_min": -1e300}], f"k_bounds {PAST_BOUND}"),
+            (["0.1,1", "0.5,5"], ["--w=1e300"], f"w {PAST_BOUND}, got 1e+300"),
+            (["0.1,1", "0.5,5"], [{"w": 1e300}], f"w {PAST_BOUND}, got 1e+300"),
         ],
     )
     def test_out_of_range_input_rejected(self, tmp_path, capsys, rows, flags, diagnostic):
@@ -312,6 +324,12 @@ class TestFit:
         # a count the dataset rejects is reported under the file's name
         source = f"{data}: " if diagnostic.startswith("counts") else ""
         assert capsys.readouterr().err.startswith(f"swarmfit: error: {source}{diagnostic}")
+
+    def test_count_2_24_fits(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text(f"t,y\n0.1,1\n0.5,{2**24}\n0.9,3\n")
+        argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json"]
+        assert run(argv + TINY) == 0
 
     @pytest.mark.parametrize(
         "rows, diagnostic",
@@ -359,21 +377,20 @@ class TestFit:
         # k*(t - t0) overflows to inf on this span, where tau is floored; the
         # overflow used to print a numpy RuntimeWarning
         data = tmp_path / "data.csv"
-        data.write_text("t,y\n0,1\n1e308,5\n0.5,3\n")
+        data.write_text(f"t,y\n0,1\n{2.0**256!r},5\n0.5,3\n")
         argv = ["fit", "--data", data, "--topology", "gbest", "--out", tmp_path / "f.json",
-                "--restarts", "2", "--iters", "20"]
+                *EDGE_SWARM, "--restarts", "2", "--iters", "20"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv) == 0
 
     def test_huge_span_lbest_swarm_fits_without_warnings(self, tmp_path):
-        # on this span the swarm's velocity, move and lbest distances overflow
-        # too, which used to print five numpy RuntimeWarnings
+        # the widest t box and k box accepted, and w = c1 = c2 = 2: the swarm's
+        # velocity, move and lbest distances stay finite
         data = tmp_path / "data.csv"
-        data.write_text("t,y\n0,1\n1e308,5\n0.5,3\n")
+        data.write_text(f"t,y\n{-2.0**256!r},1\n{2.0**256!r},5\n0.5,3\n")
         argv = ["fit", "--data", data, "--topology", "lbest", "--out", tmp_path / "f.json",
-                "--w", 2, "--c1", 2, "--c2", 2, "--particles", 20, "--m", 3,
-                "--restarts", 20, "--iters", 50]
+                *EDGE_SWARM, "--particles", 20, "--m", 3, "--restarts", 20, "--iters", 50]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(argv) == 0
@@ -525,13 +542,11 @@ class TestBench:
             assert not (tmp_path / "b").exists()
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
 @st.composite
 def empty_k_boxes(draw):
-    """Finite (k_min, k_max) with k_min >= k_max."""
-    a, b = draw(FINITE), draw(FINITE)
+    """(k_min, k_max) with k_min >= k_max, each within +-2**256: past that the
+    diagnostic is the magnitude's (test_out_of_range_input_rejected)."""
+    a, b = draw(K_BOUNDS), draw(K_BOUNDS)
     return max(a, b), min(a, b)
 
 
@@ -596,7 +611,7 @@ def test_non_finite_coefficient_exits_1_naming_it(command, key, value, via, othe
             code = run(argv + TINY)
         assert not out.exists()
     assert code == 1
-    assert err.getvalue() == f"swarmfit: error: {key} must be finite, got {value}\n"
+    assert err.getvalue() == f"swarmfit: error: {key} {PAST_BOUND}, got {value}\n"
 
 
 class TestConfigFile:
@@ -665,34 +680,34 @@ class TestConfigFile:
         assert "error" in capsys.readouterr().err
 
 
-# cells a fit accepts, the box edges of the float range among them, and cells
+# cells a fit accepts, the edges of the accepted ranges among them, and cells
 # it must reject with a diagnostic
 GOOD_TIMES = st.one_of(
-    st.floats(0.0, 1.0), st.floats(-1e308, 1e308), st.sampled_from([1e308, -1e308])
+    st.floats(0.0, 1.0), st.floats(-(2.0**256), 2.0**256), st.sampled_from([2.0**256, -(2.0**256)])
 )
-GOOD_COUNTS = st.one_of(st.integers(0, 50), st.integers(2**53 - 2, 2**53))
-BAD_TIMES = st.sampled_from([math.nan, math.inf, -math.inf])
+GOOD_COUNTS = st.one_of(st.integers(0, 50), st.integers(2**24 - 2, 2**24))
+BAD_TIMES = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 1e300, -1e300])
 BAD_COUNTS = st.one_of(
     st.integers(-(2**70), -1),
-    st.integers(2**53 + 1, 2**65),
+    st.integers(2**24 + 1, 2**65),
     st.floats(allow_nan=True, allow_infinity=True).filter(lambda v: not v.is_integer()),
 )
 
 
 @st.composite
 def csv_rows(draw):
-    """1-6 (t, y) rows; in about half the files one cell is bad."""
+    """1-6 (t, y) rows, and whether one cell is bad, as in about half the files."""
     rows = draw(st.lists(st.tuples(GOOD_TIMES, GOOD_COUNTS), min_size=1, max_size=6))
-    if draw(st.booleans()):
+    bad = draw(st.booleans())
+    if bad:
         i = draw(st.integers(0, len(rows) - 1))
         t, y = rows[i]
         rows[i] = (draw(BAD_TIMES), y) if draw(st.booleans()) else (t, draw(BAD_COUNTS))
-    return rows
+    return rows, bad
 
 
-# k boxes out to +-1e300, where the swarm's velocities, moves and lbest
-# distances overflow
-K_BOUNDS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([-1e300, 1e300]))
+# k boxes out to +-2**256, the widest accepted
+K_BOUNDS = st.one_of(st.floats(-(2.0**256), 2.0**256), st.sampled_from([-(2.0**256), 2.0**256]))
 COEFFICIENTS = st.one_of(st.just(2.0), st.floats(0.0, 2.0))
 # the whole accepted phi box, its ends and one past its top
 PHI_MAX = st.one_of(st.integers(1, MAX_PHI), st.sampled_from([1, MAX_PHI, MAX_PHI + 1]))
@@ -725,10 +740,11 @@ def fit_flags(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(rows=csv_rows(), flags=fit_flags())
 def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
-    """A t,y CSV, with t out to +-1e308, either fits with no numpy
+    """A t,y CSV, with t out to +-2**256, either fits with no numpy
     RuntimeWarning and NLLs >= 0 or exits 1 with a diagnostic, never a
-    traceback, whatever the topology, the k and phi boxes and the swarm."""
-    flags, config = flags
+    traceback, whatever the topology, the k and phi boxes and the swarm.  A
+    file with a bad cell always exits 1."""
+    (rows, bad), (flags, config) = rows, flags
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data.csv"
         data.write_text("t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in rows))
@@ -742,4 +758,5 @@ def test_any_csv_runs_or_exits_1_with_diagnostic(rows, flags):
             doc = json.loads((Path(tmp) / "f.json").read_text())
             assert min(r["value"] for r in doc["summary"]["per_restart"]) >= 0
     assert code == 0 or (code == 1 and "swarmfit: error: " in err.getvalue()), err.getvalue()
+    assert code == 1 or not bad
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []

@@ -24,11 +24,13 @@ from swarmfit import (
 )
 from swarmfit.model import (
     _BLOCK_CELLS,
+    MAX_COUNT,
     MAX_PHI,
     MU_FLOOR,
     TAU_FLOOR,
     Dataset,
     NbParams,
+    _tau,
     load_dataset,
     neg_log_likelihood,
     save_dataset,
@@ -87,18 +89,20 @@ class TestDataset:
 
     @pytest.mark.parametrize("count", [2**53 + 1, 2**63, 2**64, 1e300, np.inf])
     def test_count_above_2_53_rejected(self, count):
-        with pytest.raises(ValueError, match=r"at most 2\*\*53"):
+        # past 2**63 a count used to wrap or make an object array
+        with pytest.raises(ValueError, match=r"at most 2\*\*24"):
             Dataset(times=[0.1, 0.2], counts=[1, count])
 
-    def test_count_2_53_accepted(self):
-        # the objective evaluates the count as 2**53: at tau = 1e-3 its NLL,
-        # about 8e16, was within 4.4e-16 relative of the 40-digit reference
-        # (worst 6.5e-16 over k in [-20, 20] and phi in [1, 50])
-        data = Dataset(times=[0.1, 0.2], counts=[1, 2**53])
-        assert data.counts[1] == 2**53
-        nll = make_objective(data)([0.0, 0.5, 1e-3, 7.0])
-        exact = exact_nll(data, NbParams(0.0, 0.5, 1e-3, 7))
-        assert abs(Decimal(nll) - exact) <= Decimal("2e-15") * exact
+    @pytest.mark.parametrize("count", [MAX_COUNT + 1, 2**53])
+    def test_count_above_2_24_rejected(self, count):
+        # at 2**53 the objective lost every digit
+        with pytest.raises(ValueError, match=r"at most 2\*\*24 = 16777216, up to which"):
+            Dataset(times=[0.1, 0.2], counts=[1, count])
+
+    def test_count_2_24_accepted(self):
+        assert MAX_COUNT == 2**24
+        data = Dataset(times=[0.1, 0.2], counts=[1, MAX_COUNT])
+        assert data.counts[1] == MAX_COUNT
 
     def test_integral_floats_accepted(self):
         data = Dataset(times=[0.1, 0.9], counts=[2.0, 0.0])
@@ -288,6 +292,21 @@ class TestNegLogLikelihood:
             assert nll > 0
             assert abs(Decimal(nll) - exact) <= Decimal("5e-9") * exact, (phi, nll, exact)
 
+    @pytest.mark.parametrize("count", [MAX_COUNT - 1, MAX_COUNT])
+    @pytest.mark.parametrize("times", [(0.1, 0.2), (0.0, 1.0)])
+    def test_accurate_up_to_max_count(self, count, times):
+        # sum(y*log(tau)) cancels against sum((y + phi)*log(tau + phi)) at
+        # large counts; on these two cells the worst relative error measured
+        # was 2.6e-9 (at 2**53 it was 1.0)
+        data = Dataset(times=times, counts=[1, count])
+        objective = make_objective(data)
+        for k in (-20.0, -3.0, 0.0, 3.0, 20.0):
+            for phi in (1, 2, 7, 50):
+                params = NbParams(k, 0.15, count / 2, phi)
+                nll = objective([k, 0.15, count / 2, float(phi)])
+                exact = exact_nll(data, params)
+                assert abs(Decimal(nll) - exact) <= Decimal("5e-9") * exact, (k, phi, nll, exact)
+
     def test_applies_the_objectives_phi_rule(self):
         # neg_log_likelihood is the objective at (k, t0, mu, phi): equal up to
         # MAX_PHI, and rejected past it, where the likelihood loses accuracy
@@ -331,6 +350,10 @@ class TestNegLogLikelihood:
 
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# coordinates at the edges of the point rule: non-finite, signed zeros, the
+# smallest positive float and both sides of the phi cap
+EDGE_COORDINATES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1.0, 0.4,
+                    MAX_PHI + 0.5, float(np.nextafter(MAX_PHI + 0.5, 0))]
 
 
 @st.composite
@@ -604,19 +627,19 @@ class TestObjectiveProperties:
 
     def test_nan_row_does_not_hide_a_floored_row(self):
         # the floor test reduces a block with fmin, which skips the nan row's
-        # taus; a plain min would be nan and leave the steep row unfloored
+        # taus; a plain min would be nan and leave the steep row unfloored.
+        # The objective rejects a nan k, so the rows go to _tau directly.
         data = generate_dataset(get_setting(4), 1)
-        assert _BLOCK_CELLS // len(data) >= 2  # both rows land in one block
         # k and t0 at their tops: exp overflows at t_lo and tau there is 0
-        steep = build_domain(data, k_bounds=(-1e4, 1e4)).upper.copy()
-        assert sigmoid_mean(data.times, decode_position(steep)).min() == TAU_FLOOR
-        nan_k = steep.copy()
-        nan_k[0] = math.nan
-        objective = make_objective(data)
-        for points, i in [([nan_k, steep], 1), ([steep, nan_k], 0)]:
-            got = objective(np.array(points))
-            assert math.isnan(got[1 - i])
-            assert got[i] == objective(steep) == reference_nll(steep, data)
+        steep = build_domain(data, k_bounds=(-1e4, 1e4)).upper
+        expected = sigmoid_mean(data.times, decode_position(steep))
+        assert expected.min() == TAU_FLOOR
+        for neg_k, i in [([math.nan, -steep[0]], 1), ([-steep[0], math.nan], 0)]:
+            out = np.empty((2, len(data)))
+            with np.errstate(over="ignore"):
+                _tau(data.times, np.array(neg_k)[:, None], steep[1], 2 * steep[2], out)
+            assert np.isnan(out[1 - i]).all()
+            assert out[i].tobytes() == expected.tobytes()
 
     @PROPERTY
     @given(mu=st.floats(-1e3, 0.0), draw=st.data())
@@ -629,6 +652,36 @@ class TestObjectiveProperties:
             make_objective(data)(points[i])
         with pytest.raises(ValueError, match="mu_g must be positive"):
             make_objective(data)(np.array(points))
+
+    @PROPERTY
+    @given(
+        points=st.lists(
+            st.tuples(*[st.floats(-1e6, 1e6) | st.sampled_from(EDGE_COORDINATES)] * 4),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_objective_and_decoder_accept_the_same_points(self, points):
+        # one point rule: a point the decoder rejects, the objective rejects
+        # on its own and in a stack (a nan k or mu made it nan), and an
+        # accepted point gets the same value
+        data = Dataset(times=[0.1, 0.5, 0.9], counts=[1, 5, 3])
+        objective = make_objective(data)
+        rejected = False
+        for x in points:
+            try:
+                params = decode_position(x)
+            except ValueError:
+                rejected = True
+                with pytest.raises(ValueError):
+                    objective(x)
+                continue
+            assert objective(x) == neg_log_likelihood(params, data)
+        if rejected:
+            with pytest.raises(ValueError):
+                objective(np.array(points))
+        else:
+            assert objective(np.array(points)).tolist() == [objective(x) for x in points]
 
     @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
     def test_objective_rejects_non_finite_phi(self, phi):

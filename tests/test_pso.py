@@ -1,4 +1,5 @@
 import math
+import warnings
 import zlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from swarmfit import BoxDomain, SwarmConfig, optimize
 from swarmfit.pso import (
+    MAX_MAGNITUDE,
     Swarm,
     Topology,
     _squared_distances,
@@ -18,6 +20,9 @@ from swarmfit.pso import (
     step,
     velocity_update,
 )
+
+# the next float above the largest magnitude a bound or coefficient may have
+PAST_MAX = float(np.nextafter(MAX_MAGNITUDE, math.inf))
 
 
 def sphere(x):
@@ -66,8 +71,15 @@ class TestBoxDomain:
             BoxDomain([0.0], [np.inf])
 
     def test_span_overflow(self):
-        with pytest.raises(ValueError, match="span"):
+        # a span of 2e308 is inf; such a box is far past the bound
+        with pytest.raises(ValueError, match=r"at most 2\*\*256 in magnitude, got -1e\+308"):
             BoxDomain([0.0, -1e308], [1.0, 1e308])
+
+    @pytest.mark.parametrize("bound", [1e300, -1e300, PAST_MAX, -PAST_MAX])
+    def test_bounds_past_max_magnitude_rejected(self, bound):
+        # on a +-1e300 box the squared lbest distances overflowed to inf
+        with pytest.raises(ValueError, match=r"finite and at most 2\*\*256 in magnitude"):
+            BoxDomain([min(bound, 0.0)], [max(bound, 0.0)])
 
     def test_degenerate_allowed(self):
         dom = BoxDomain([3.0], [3.0])
@@ -105,6 +117,13 @@ class TestSwarmConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_coefficient_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SwarmConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["w", "c1", "c2"])
+    @pytest.mark.parametrize("value", [1e300, -1e300, PAST_MAX, -PAST_MAX, 10**400])
+    def test_coefficient_past_max_magnitude_rejected(self, name, value):
+        # 10**400 made math.isfinite raise OverflowError
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and at most 2\*\*256"):
             SwarmConfig(**{name: value})
 
     def test_topology_from_string(self):
@@ -250,7 +269,7 @@ class TestPositionUpdate:
         assert np.array_equal(vel, [1.5, 0.0])
 
     def test_non_finite_candidate_absorbed(self):
-        # inf - inf in an overflowing velocity update gives a nan velocity
+        # no step inside the bound makes such a candidate; passed one, it is absorbed
         dom = BoxDomain([0.0, 0.0, 0.0], [5.0, 5.0, 5.0])
         v_new = np.array([math.nan, math.inf, -math.inf])
         pos, vel = position_update(np.array([1.0, 1.0, 1.0]), v_new, dom)
@@ -260,25 +279,30 @@ class TestPositionUpdate:
 
 @st.composite
 def huge_boxes(draw):
-    """(domain, config): d in 1..4 with spans up to 1e308 and w, c1, c2 in
-    [0, 2], where the velocity update can overflow to inf - inf = nan.  The
-    largest span and coefficient are drawn often: the overflow needs both."""
+    """(domain, config): d in 1..4 with bounds and w, c1, c2 up to
+    +-MAX_MAGNITUDE, the largest accepted.  The edges are drawn often: the
+    velocity grows largest with both the widest box and the largest
+    coefficients."""
     d = draw(st.integers(1, 4))
-    lower = draw(st.lists(st.floats(-1e307, 1e307), min_size=d, max_size=d))
-    spans = draw(st.lists(st.just(1e308) | st.floats(0.0, 1e308), min_size=d, max_size=d))
-    n = draw(st.integers(1, 20))
-    coefficient = st.just(2.0) | st.floats(0.0, 2.0)
-    config = SwarmConfig(
-        w=draw(coefficient),
-        c1=draw(coefficient),
-        c2=draw(coefficient),
-        n_particles=n,
-        topology=draw(st.sampled_from(list(Topology))),
-        m_neighbors=draw(st.integers(1, n)),
-        n_iterations=50,
-        seed=draw(st.integers(0, 2**32)),
+    magnitude = st.sampled_from([-MAX_MAGNITUDE, MAX_MAGNITUDE]) | st.floats(
+        -MAX_MAGNITUDE, MAX_MAGNITUDE
     )
-    return BoxDomain(lower, [lo + s for lo, s in zip(lower, spans)]), config
+    bounds = [sorted(draw(st.lists(magnitude, min_size=2, max_size=2))) for _ in range(d)]
+    n = draw(st.integers(1, 20))
+    coefficient = st.sampled_from([2.0, MAX_MAGNITUDE]) | magnitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # outside the usual [0, 2]
+        config = SwarmConfig(
+            w=draw(coefficient),
+            c1=draw(coefficient),
+            c2=draw(coefficient),
+            n_particles=n,
+            topology=draw(st.sampled_from(list(Topology))),
+            m_neighbors=draw(st.integers(1, n)),
+            n_iterations=50,
+            seed=draw(st.integers(0, 2**32)),
+        )
+    return BoxDomain(*zip(*bounds)), config
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -289,12 +313,14 @@ def test_every_evaluated_position_is_finite_and_in_the_box(case):
 
     def scattered(x):
         # personal bests that jump across the box keep particles swinging
-        # from face to face, where the velocity overflows
+        # from face to face, where the velocity is largest
         seen.append(x.copy())
         return float(zlib.crc32(x.tobytes()) % 1000)
 
-    # step silences the overflow this is about: a warning here fails the test
-    optimize(scattered, domain, config)
+    # no swarm step overflows inside the bound: a numpy warning fails the test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        optimize(scattered, domain, config)
     seen = np.array(seen)
     assert np.isfinite(seen).all()
     assert (seen >= domain.lower).all() and (seen <= domain.upper).all()
@@ -478,29 +504,20 @@ class TestSelectNeighborhoodBest:
         assert pos.tobytes() == ref_pos.tobytes()
         assert val.tobytes() == ref_val.tobytes()
 
-    def test_overflowing_distances_ranked_by_distance(self):
-        # on a +-1e300 box every pair below is farther apart than about
-        # 1.3e154, so each squared distance overflows to inf; tied there, the
-        # neighbors used to be picked by index: {0, 1}, {0, 1}, {0, 2}, {0, 3}
-        swarm = make_swarm([1e300, -1e300, 5e299, -6e299], [3.0, 2.0, 1.0, 0.0])
-        with np.errstate(over="ignore"):  # as step silences it
-            pos, val = select_neighborhood_best(swarm, 2)
-        # by distance the neighborhoods are {0, 2}, {1, 3}, {0, 2} and {1, 3}
-        assert val.tolist() == [1.0, 0.0, 1.0, 0.0]
-        assert pos[:, 0].tolist() == [5e299, -6e299, 5e299, -6e299]
-
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(case=lbest_swarms())
-    def test_neighborhoods_keep_when_scaled_past_overflow(self, case):
-        """Scaled by a power of two, up to where the squared distances
-        overflow, a finite swarm keeps its neighborhoods."""
+    def test_neighborhoods_keep_when_scaled_to_the_bound(self, case):
+        """Scaled by a power of two, up to MAX_MAGNITUDE, a finite swarm keeps
+        its neighborhoods, and no distance overflows."""
         swarm, m = case
         top = np.abs(swarm.positions).max()
         assume(np.isfinite(top) and top > 0)
-        scaled = make_swarm(np.ldexp(swarm.positions, 1020 - np.frexp(top)[1]),
+        scaled = make_swarm(np.ldexp(swarm.positions, 256 - np.frexp(top)[1]),
                             swarm.pbest_values, pbest_positions=swarm.pbest_positions)
+        assert np.abs(scaled.positions).max() < MAX_MAGNITUDE
         pos, val = select_neighborhood_best(swarm, m)
-        with np.errstate(over="ignore"):  # as step silences it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             scaled_pos, scaled_val = select_neighborhood_best(scaled, m)
         assert pos.tobytes() == scaled_pos.tobytes()
         assert val.tobytes() == scaled_val.tobytes()
@@ -666,9 +683,10 @@ class TestOptimize:
         assert result.best_value < 1e-2
 
     def test_huge_box_overflow_is_silent_but_the_objectives_warnings_show(self):
-        # w = c1 = c2 = 2 on spans near the float maximum: the velocity, the
-        # move and the lbest distances overflow, which step silences
-        dom = BoxDomain([0.0, -1e300], [1e308, 1e300])
+        # w = c1 = c2 = 2 on the widest boxes accepted: no swarm step
+        # overflows, and step silences nothing, so the objective's own
+        # overflow warning is the only one
+        dom = BoxDomain([0.0, -MAX_MAGNITUDE], [MAX_MAGNITUDE, MAX_MAGNITUDE])
         cfg = SwarmConfig(w=2.0, c1=2.0, c2=2.0, n_particles=20, topology="lbest",
                           m_neighbors=3, n_iterations=50, seed=1)
         calls = []

@@ -3,13 +3,15 @@
     PYTHONPATH=<checkout>/src python3 tools/replay_hash.py
 
 Simulates data seed 1 and runs a few ``swarmfit.optimize`` restarts on each
-of the three shapes the benchmark's workloads fit, and on the edge of the phi
-box, restart r seeded ``mix64(7, r)``:
+of the three shapes the benchmark's workloads fit, and on the edges of the phi
+box and of the magnitude range, restart r seeded ``mix64(7, r)``:
 
 - paper_grid: settings 1-6, gbest and lbest, the default swarm, 2 restarts each;
 - wide_cells: setting 1 at C = 20000, gbest, 2 restarts;
 - lbest_swarm: setting 6, lbest, 40 particles, m = 8, 5 restarts;
-- phi_edge: setting 4, gbest and lbest, phi_max = 2**20, 2 restarts each.
+- phi_edge: setting 4, gbest and lbest, phi_max = 2**20, 2 restarts each;
+- mag_edge: setting 4, gbest and lbest, k box +-2**256, w = c1 = c2 = 2,
+  2 restarts each.
 
 Prints one JSON line: per shape, the SHA-256 over the float64 bytes of every
 restart's best value, best position and trace, in run order, and the median
@@ -40,13 +42,13 @@ import numpy as np
 
 from swarmfit import SwarmConfig, build_domain, generate_dataset, get_setting, make_objective, optimize
 from swarmfit.bench import mix64
-from swarmfit.model import DEFAULT_K_BOUNDS
 from swarmfit.pso import Topology
 
 DATA_SEED = 1
 MASTER_SEED = 7
 # shape -> cells of (setting, swarm, restarts), or of (setting, swarm,
-# restarts, phi_max) for a phi box other than the default
+# restarts, box) for a k box or phi box other than the default, box holding
+# build_domain's k_bounds or phi_max by name
 SHAPES = {
     "paper_grid": [
         (get_setting(s), SwarmConfig(topology=t), 2) for s in range(1, 7) for t in Topology
@@ -55,16 +57,21 @@ SHAPES = {
     "lbest_swarm": [
         (get_setting(6), SwarmConfig(topology=Topology.LBEST, n_particles=40, m_neighbors=8), 5)
     ],
-    "phi_edge": [(get_setting(4), SwarmConfig(topology=t), 2, 2**20) for t in Topology],
+    "phi_edge": [(get_setting(4), SwarmConfig(topology=t), 2, {"phi_max": 2**20}) for t in Topology],
+    "mag_edge": [
+        (get_setting(4), SwarmConfig(w=2.0, c1=2.0, c2=2.0, topology=t), 2,
+         {"k_bounds": (-(2.0**256), 2.0**256)})
+        for t in Topology
+    ],
 }
 
 
 def replay(cells) -> tuple[list, list[float]]:
     """Run the restarts of each cell; return their OptResults and times in ms."""
     results, times = [], []
-    for setting, swarm, restarts, *phi_max in cells:
+    for setting, swarm, restarts, *box in cells:
         data = generate_dataset(setting, DATA_SEED)
-        domain, objective = build_domain(data, DEFAULT_K_BOUNDS, *phi_max), make_objective(data)
+        domain, objective = build_domain(data, **dict(*box)), make_objective(data)
         for r in range(restarts):
             start = time.perf_counter()
             results.append(optimize(objective, domain, replace(swarm, seed=mix64(MASTER_SEED, r))))
